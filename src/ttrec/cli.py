@@ -258,6 +258,11 @@ def cmd_recover(args) -> int:
                         train_idx=np.sort(rest[n_val:]), val_idx=np.sort(rest[:n_val]),
                         test_idx=np.sort(perm[:n_test]) if n_test else None)
     report = recover(samples, cfg, basis)
+    if not report.val_errors:
+        # no sweep completed: the only iterate is the untrained start
+        reason = f" (aborted: {report.aborted})" if report.aborted else ""
+        print(f"recover: no sweep completed{reason}; no model written", file=sys.stderr)
+        return 1
     header = manifest_lines("recover", args, [args.config, args.samples],
                             [args.out, args.report or "-"])
     save_tt(report.tt, args.out)

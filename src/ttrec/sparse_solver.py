@@ -89,6 +89,11 @@ def _cd_gram(G, b, thresholds, x0, max_sweeps=MAX_SWEEPS,
     across the batch.  Stops at an exact fixed point, on relative objective
     stagnation, or, when ``kkt_tol`` is given, on the KKT residual.
     Returns (x, sweeps).
+
+    The coordinate update ``(clip(q, -t, t) - q) / G_kk`` is the soft
+    threshold of ``-q`` in fewer array operations.  It gives the same
+    values, so iterates and sweep counts do not depend on the form; only a
+    dead-zone coordinate reads +0.0 where ``soft_threshold`` gives -0.0.
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -101,30 +106,45 @@ def _cd_gram(G, b, thresholds, x0, max_sweeps=MAX_SWEEPS,
         batch = (1,)
     x = np.empty(batch + (p,))
     x[:] = x0
-    b = np.broadcast_to(b, batch + (p,))
-    t = np.broadcast_to(t, batch + (p,))
     Gx = (G @ x[..., None])[..., 0]
-    diag = np.broadcast_to(np.diagonal(G, axis1=-2, axis2=-1), batch + (p,))
-    safe_diag = np.where(diag > 0, diag, 1.0)
+    diag = np.diagonal(G, axis1=-2, axis2=-1)
     positive = diag > 0
+    all_positive = bool(positive.all())
+
+    def by_coordinate(a):  # row k holds coordinate k of every member
+        return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+    # the views and operands of each coordinate step, gathered once; the
+    # operands keep their own (unbroadcast) shapes, and a column-major G
+    # (see cv_select_lambda) makes its columns contiguous without a copy
+    steps = list(zip(np.moveaxis(x, -1, 0), np.moveaxis(Gx, -1, 0),
+                     by_coordinate(diag), by_coordinate(b), by_coordinate(-t),
+                     by_coordinate(t), by_coordinate(np.where(positive, diag, 1.0)),
+                     by_coordinate(positive), by_coordinate(G)))
 
     def objective():
-        return ((x * Gx).sum(-1) - 2 * (b * x).sum(-1) + 2 * (np.abs(x) * t).sum(-1))
+        # one (batch, p) temporary at a time
+        penalty = np.abs(x)
+        penalty *= t
+        penalty = penalty.sum(-1)
+        return (x * Gx).sum(-1) - 2 * (b * x).sum(-1) + 2 * penalty
 
     obj = objective()
     sweep = 0
     for sweep in range(1, max_sweeps + 1):
         moved = False
-        for k in range(p):
-            q = Gx[..., k] - diag[..., k] * x[..., k] - b[..., k]
-            new = np.where(positive[..., k],
-                           soft_threshold(-q, t[..., k]) / safe_diag[..., k],
-                           0.0)
-            delta = new - x[..., k]
-            if np.any(delta != 0.0):
+        for xk, Gxk, dk, bk, lo, hi, safe, pos, col in steps:
+            q = Gxk - dk * xk - bk
+            new = np.minimum(np.maximum(q, lo), hi)
+            new -= q
+            new /= safe
+            if not all_positive:
+                new = np.where(pos, new, 0.0)
+            delta = new - xk
+            if np.count_nonzero(delta):
                 moved = True
-                Gx += G[..., :, k] * delta[..., None]
-                x[..., k] = new
+                Gx += col * delta[..., None]
+                xk[...] = new
         if not moved:  # exact fixed point of the coordinate map
             break
         if kkt_tol is not None:
@@ -402,6 +422,11 @@ def debias_on_support(A, y, v):
     return out
 
 
+def _held_out_error(A, y, v) -> float:
+    r = y - A @ v
+    return (r @ r) / len(y)
+
+
 def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
                      decades: float = 4.0, points: int = 25,
                      refit: bool = False) -> CvReport:
@@ -412,34 +437,49 @@ def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
     minimum, the largest (sparsest model) wins.  With ``refit`` the
     held-out error is evaluated for the least-squares refit on each
     solution's support, so lambda purely selects the sparsity pattern.
+    The refit depends on the support alone, so each distinct (fold,
+    support) pair is refitted and scored once and its held-out error
+    reused by every lambda that selects it.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
+    n, p = A.shape
     lams = lambda_grid(A, y, omega, decades, points)
-    idx = fold_indices(A.shape[0], folds, seed)
+    idx = fold_indices(n, folds, seed)
     masks = []
     for hold in idx:
-        mask = np.ones(A.shape[0], dtype=bool)
+        mask = np.ones(n, dtype=bool)
         mask[hold] = False
         masks.append(mask)
-    G = np.stack([A[m].T @ A[m] for m in masks])
-    b = np.stack([A[m].T @ y[m] for m in masks])
+    # fold Grams stored column-major, so the descent reads each column
+    # G[:, :, k] as one contiguous block without copying G
+    G = np.moveaxis(np.empty((p, folds, p)), 0, -1)
+    b = np.empty((folds, p))
+    for f, m in enumerate(masks):
+        G[f] = A[m].T @ A[m]
+        b[f] = A[m].T @ y[m]
     errors = np.zeros((len(lams), folds))
     if np.all(lams == 0.0):
         x = np.stack([np.linalg.lstsq(A[m], y[m], rcond=None)[0] for m in masks])[None]
-        x = np.broadcast_to(x, (len(lams), folds, A.shape[1]))
+        x = np.broadcast_to(x, (len(lams), folds, p))
     else:
         # the whole path and all folds as one batched descent
         thresholds = lams[:, None, None] * omega / 2.0
-        x = _solve_path(G, b, thresholds, A.shape[1])
-    for i in range(len(lams)):
-        for f, hold in enumerate(idx):
-            xf = x[i, f]
-            if refit:
-                xf = debias_on_support(A[masks[f]], y[masks[f]], xf)
-            r = y[hold] - A[hold] @ xf
-            errors[i, f] = (r @ r) / len(hold)
+        x = _solve_path(G, b, thresholds, p)
+    supports = x != 0
+    for f, (hold, m) in enumerate(zip(idx, masks)):
+        A_fit, y_fit, A_hold, y_hold = A[m], y[m], A[hold], y[hold]
+        refits = {}  # support -> held-out error of its refit
+        for i in range(len(lams)):
+            if not refit:
+                errors[i, f] = _held_out_error(A_hold, y_hold, x[i, f])
+                continue
+            support = supports[i, f].tobytes()
+            if support not in refits:
+                refits[support] = _held_out_error(
+                    A_hold, y_hold, debias_on_support(A_fit, y_fit, x[i, f]))
+            errors[i, f] = refits[support]
     mean_errors = errors.mean(axis=1)
     best = np.nonzero(mean_errors <= mean_errors.min())[0]
     chosen = float(lams[best[0]])  # grid is descending: first hit = largest

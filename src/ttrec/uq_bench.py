@@ -10,14 +10,15 @@ consistent discretization serves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
 from .bases import legendre_basis
-from .recovery import (RecoveryConfig, SampleSet, recover, relative_error)
+from .recovery import (RecoveryConfig, RecoveryError, SampleSet, recover,
+                       relative_error)
 from .tensor_core import TensorTrain, tt_evaluate_batch
 
 
@@ -199,6 +200,9 @@ def _phase_cell(params) -> float:
     receive it."""
     (M, n, realizations, target, algorithm, dimension, n_test, seed,
      max_rank, max_sweeps) = params
+    # built first so that a configuration error propagates instead of
+    # turning the cell into NaN
+    cfg = RecoveryConfig(algorithm=algorithm, max_rank=max_rank, max_sweeps=max_sweeps)
     tt = synthetic_target(target, M, dimension)
     basis = legendre_basis(dimension)
     errs = []
@@ -210,11 +214,9 @@ def _phase_cell(params) -> float:
         tpts = test_rng.uniform(-1.0, 1.0, (n_test, M))
         tvals = tt_evaluate_batch(tt, [basis.evaluate(tpts[:, m]) for m in range(M)])
         try:
-            cfg = RecoveryConfig(algorithm=algorithm, max_rank=max_rank,
-                                 max_sweeps=max_sweeps, seed=rep)
-            report = recover(SampleSet(pts, vals), cfg, basis)
+            report = recover(SampleSet(pts, vals), replace(cfg, seed=rep), basis)
             errs.append(relative_error(report.predict(tpts), tvals))
-        except Exception:
+        except (RecoveryError, np.linalg.LinAlgError):
             errs.append(np.nan)
     return float(np.mean(errs))
 

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the LASSO oracle is an
 accelerated proximal-gradient method (the solver under test is coordinate
 descent), tensor ranks come from dense matricizations, the Poisson value
-from its double sine series.
+from its double sine series.  The exception is the reference coordinate
+descent and CV error loop below: they are the straightforward versions of
+the optimized solver code, kept to pin it to equal results.
 """
 import numpy as np
 
@@ -102,3 +104,90 @@ def monte_carlo_local_variation(d1, d2, r, n_draws, rng):
         if F > 0:
             best = max(best, d1 * d2 * (1 - alpha) ** 2 / F)
     return best
+
+
+def reference_cd_gram(G, b, thresholds, x0, max_sweeps=10_000, obj_rtol=1e-10,
+                      kkt_tol=None):
+    """Batched cyclic coordinate descent, one plain array expression per
+    step; the optimized ``sparse_solver._cd_gram`` must return equal iterates
+    and sweep counts."""
+    from ttrec.sparse_solver import _kkt_from_gram, soft_threshold
+    G = np.asarray(G, dtype=float)
+    b = np.asarray(b, dtype=float)
+    t = np.asarray(thresholds, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    p = G.shape[-1]
+    batch = np.broadcast_shapes(G.shape[:-2], b.shape[:-1], t.shape[:-1], x0.shape[:-1])
+    squeeze = batch == ()
+    if squeeze:
+        batch = (1,)
+    x = np.empty(batch + (p,))
+    x[:] = x0
+    b = np.broadcast_to(b, batch + (p,))
+    t = np.broadcast_to(t, batch + (p,))
+    Gx = (G @ x[..., None])[..., 0]
+    diag = np.broadcast_to(np.diagonal(G, axis1=-2, axis2=-1), batch + (p,))
+    safe_diag = np.where(diag > 0, diag, 1.0)
+    positive = diag > 0
+
+    def objective():
+        return ((x * Gx).sum(-1) - 2 * (b * x).sum(-1) + 2 * (np.abs(x) * t).sum(-1))
+
+    obj = objective()
+    sweep = 0
+    for sweep in range(1, max_sweeps + 1):
+        moved = False
+        for k in range(p):
+            q = Gx[..., k] - diag[..., k] * x[..., k] - b[..., k]
+            new = np.where(positive[..., k],
+                           soft_threshold(-q, t[..., k]) / safe_diag[..., k],
+                           0.0)
+            delta = new - x[..., k]
+            if np.any(delta != 0.0):
+                moved = True
+                Gx += G[..., :, k] * delta[..., None]
+                x[..., k] = new
+        if not moved:
+            break
+        if kkt_tol is not None:
+            if _kkt_from_gram(Gx, b, t, x) <= kkt_tol:
+                break
+            continue
+        new_obj = objective()
+        if np.all(np.abs(obj - new_obj) <= obj_rtol * np.maximum(np.abs(new_obj), 1.0)):
+            break
+        obj = new_obj
+    if squeeze:
+        return x[0], sweep
+    return x, sweep
+
+
+def reference_cv_errors(A, y, omega, folds=10, seed=0, refit=False):
+    """Mean held-out error per lambda and the chosen lambda of
+    ``cv_select_lambda``, refitting every (lambda, fold) member on its own
+    (no memo) on top of ``reference_cd_gram``."""
+    from ttrec.sparse_solver import debias_on_support, fold_indices, lambda_grid
+    A = np.asarray(A, float)
+    y = np.asarray(y, float)
+    omega = np.asarray(omega, float)
+    lams = lambda_grid(A, y, omega)
+    idx = fold_indices(A.shape[0], folds, seed)
+    masks = []
+    for hold in idx:
+        mask = np.ones(A.shape[0], dtype=bool)
+        mask[hold] = False
+        masks.append(mask)
+    G = np.stack([A[m].T @ A[m] for m in masks])
+    b = np.stack([A[m].T @ y[m] for m in masks])
+    x, _ = reference_cd_gram(G, b, lams[:, None, None] * omega / 2.0, np.zeros(A.shape[1]))
+    errors = np.zeros((len(lams), folds))
+    for i in range(len(lams)):
+        for f, hold in enumerate(idx):
+            xf = x[i, f]
+            if refit:
+                xf = debias_on_support(A[masks[f]], y[masks[f]], xf)
+            r = y[hold] - A[hold] @ xf
+            errors[i, f] = (r @ r) / len(hold)
+    mean_errors = errors.mean(axis=1)
+    best = np.nonzero(mean_errors <= mean_errors.min())[0]
+    return mean_errors, float(lams[best[0]])

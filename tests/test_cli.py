@@ -58,6 +58,26 @@ def test_recover_malformed_row_exit_2(tmp_path, capsys):
     assert "row 6" in capsys.readouterr().err
 
 
+def test_recover_abort_before_first_sweep_writes_no_model(tmp_path, capsys, monkeypatch):
+    import ttrec.recovery as recovery
+
+    def failing(*args, **kwargs):
+        raise recovery.RecoveryError("left interface Gramian vanished")
+
+    monkeypatch.setattr(recovery, "microstep_r2als", failing)
+    samples = write_constant_fixture(tmp_path, n=60)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "model.tt"
+    report = tmp_path / "report.json"
+    rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+               "--out", str(out), "--report", str(report)])
+    assert rc == 1
+    assert not out.exists() and not report.exists()
+    err = capsys.readouterr().err
+    assert "sweep 0: left interface Gramian vanished" in err
+    assert "internal error" not in err
+
+
 def test_recover_missing_file_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["recover", "--config", str(cfg),

@@ -10,7 +10,8 @@ from ttrec.sparse_solver import (ConvergenceWarning, CvReport, LassoProblem,
                                  lambda_grid, lasso_solve, soft_threshold)
 from ttrec.sparse_solver import _cd_gram
 
-from oracles import lasso_objective, prox_gradient_lasso
+from oracles import (lasso_objective, prox_gradient_lasso, reference_cd_gram,
+                     reference_cv_errors)
 
 
 def test_problem_validation():
@@ -229,3 +230,116 @@ def test_cv_numpy_fallback_matches_numba_path(monkeypatch):
     without = cv_select_lambda(A, y, np.ones(6), folds=5, seed=0)
     assert with_numba.chosen == without.chosen
     assert np.abs(with_numba.mean_errors - without.mean_errors).max() <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the optimized descent and CV selection against their reference versions
+
+
+def _fold_problem(rng, n, p, folds):
+    """A sparse-truth problem and its fold Grams, folds drawn with seed 0."""
+    A = rng.standard_normal((n, p))
+    truth = np.zeros(p)
+    truth[:3] = (1.0, -2.0, 0.5)
+    y = A @ truth + 0.1 * rng.standard_normal(n)
+    idx = fold_indices(n, folds, 0)
+    masks = [np.isin(np.arange(n), hold, invert=True) for hold in idx]
+    G = np.stack([A[m].T @ A[m] for m in masks])
+    b = np.stack([A[m].T @ y[m] for m in masks])
+    return A, y, G, b
+
+
+def test_cd_gram_matches_reference_batched():
+    rng = np.random.default_rng(13)
+    A, y, G, b = _fold_problem(rng, 60, 9, 5)
+    lams = lambda_grid(A, y, np.ones(9))
+    omega = rng.uniform(0.5, 2.0, 9)
+    t = lams[:, None, None] * omega / 2.0           # (L, 1, p) against (F, p, p)
+    x, sweeps = _cd_gram(G, b, t, np.zeros(9))
+    x_ref, sweeps_ref = reference_cd_gram(G, b, t, np.zeros(9))
+    assert x.shape == (len(lams), 5, 9)
+    assert np.array_equal(x, x_ref) and sweeps == sweeps_ref
+    # the column-major Gram layout cv_select_lambda builds
+    Gc = np.moveaxis(np.ascontiguousarray(np.moveaxis(G, -1, 0)), 0, -1)
+    x_c, sweeps_c = _cd_gram(Gc, b, t, np.zeros(9))
+    assert np.array_equal(x_c, x_ref) and sweeps_c == sweeps_ref
+
+
+def test_cd_gram_matches_reference_unbatched():
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((20, 12))
+    y = rng.standard_normal(20)
+    G, b = A.T @ A, A.T @ y
+    t = 0.3 * rng.uniform(0.5, 2.0, 12)
+    x0 = rng.standard_normal(12)
+    for kwargs in ({}, {"kkt_tol": 1e-8, "max_sweeps": 50}, {"max_sweeps": 3, "obj_rtol": 0.0}):
+        x, sweeps = _cd_gram(G, b, t, x0, **kwargs)
+        x_ref, sweeps_ref = reference_cd_gram(G, b, t, x0, **kwargs)
+        assert x.shape == (12,)
+        assert np.array_equal(x, x_ref) and sweeps == sweeps_ref
+
+
+def test_cd_gram_matches_reference_with_zero_diagonal():
+    rng = np.random.default_rng(15)
+    A = rng.standard_normal((15, 6))
+    A[:, 2] = 0.0
+    y = rng.standard_normal(15)
+    G, b = A.T @ A, A.T @ y
+    x0 = np.full(6, 0.5)   # the dead coordinate must be zeroed
+    t = np.array([[0.05], [0.5]]) * np.ones(6)
+    x, sweeps = _cd_gram(G, b, t, x0)
+    x_ref, sweeps_ref = reference_cd_gram(G, b, t, x0)
+    assert np.all(x[:, 2] == 0.0)
+    assert np.array_equal(x, x_ref) and sweeps == sweeps_ref
+
+
+@pytest.mark.parametrize("refit", [True, False])
+def test_cv_select_lambda_matches_reference(refit):
+    rng = np.random.default_rng(16)
+    for n, p, folds in ((60, 10, 5), (45, 20, 3)):
+        A, y, _, _ = _fold_problem(rng, n, p, folds)
+        omega = rng.uniform(0.5, 2.0, p)
+        report = cv_select_lambda(A, y, omega, folds=folds, seed=0, refit=refit)
+        mean_errors, chosen = reference_cv_errors(A, y, omega, folds=folds, seed=0,
+                                                  refit=refit)
+        assert np.array_equal(report.mean_errors, mean_errors)
+        assert report.chosen == chosen
+
+
+def test_cv_refits_each_fold_support_once(monkeypatch):
+    import ttrec.sparse_solver as sp
+    rng = np.random.default_rng(17)
+    A, y, G, b = _fold_problem(rng, 60, 10, 5)
+    omega = np.ones(10)
+    lams = lambda_grid(A, y, omega)
+    x, _ = reference_cd_gram(G, b, lams[:, None, None] * omega / 2.0, np.zeros(10))
+    supports = {(f, (x[i, f] != 0).tobytes()) for i in range(len(lams)) for f in range(5)}
+    # the path has empty supports (largest lambdas) and repeated ones
+    assert any(not np.any(x[i, f]) for i in range(len(lams)) for f in range(5))
+    assert len(supports) < x.shape[0] * x.shape[1]
+    calls = []
+
+    def counting(A_fit, y_fit, v):
+        calls.append(1)
+        return debias_on_support(A_fit, y_fit, v)
+
+    monkeypatch.setattr(sp, "debias_on_support", counting)
+    cv_select_lambda(A, y, omega, folds=5, seed=0, refit=True)
+    assert len(calls) == len(supports)
+
+
+def test_cv_transient_memory_within_reference():
+    import tracemalloc
+    rng = np.random.default_rng(18)
+    A, y, _, _ = _fold_problem(rng, 240, 72, 10)
+    omega = np.ones(72)
+    peaks = []
+    for run in (lambda: reference_cv_errors(A, y, omega, refit=True),
+                lambda: cv_select_lambda(A, y, omega, refit=True)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]

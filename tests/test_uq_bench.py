@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ttrec.recovery import RecoveryConfig, SampleSet, recover, relative_error
+from ttrec.recovery import (RecoveryConfig, RecoveryError, SampleSet, recover,
+                            relative_error)
 from ttrec.tensor_core import tt_evaluate_batch, tt_rank
 from ttrec.bases import legendre_basis
 from ttrec.uq_bench import (BenchmarkError, DiffusionModel, evaluate_target,
@@ -158,6 +159,20 @@ def test_ones_target_is_product_of_basis_sums():
 def test_phase_diagram_rejects_zero_samples():
     with pytest.raises(BenchmarkError):
         phase_diagram([2], [0], realizations=1)
+
+
+def test_phase_diagram_config_errors_propagate(monkeypatch):
+    with pytest.raises(RecoveryError, match="unknown algorithm"):
+        phase_diagram([2], [30], realizations=1, algorithm="nope")
+    # a recovery failure in one realization still reads as a NaN cell
+    import ttrec.uq_bench as uq
+
+    def failing(*args, **kwargs):
+        raise RecoveryError("left interface Gramian vanished")
+
+    monkeypatch.setattr(uq, "recover", failing)
+    grid = phase_diagram([2], [30], realizations=1, dimension=4, n_test=10)
+    assert np.isnan(grid[0, 0])
 
 
 def test_phase_diagram_single_cell_matches_standalone():
