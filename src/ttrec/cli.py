@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__
 from .bases import legendre_basis, hermite_basis
-from .recovery import RecoveryConfig, SampleSet, recover
+from .recovery import RecoveryConfig, RecoveryError, SampleSet, recover
 from .tensor_core import save_tt
-from .uq_bench import (DiffusionModel, generate_samples, phase_diagram,
-                       spectrum_experiment)
+from .uq_bench import (BenchmarkError, DiffusionModel, generate_samples,
+                       phase_diagram, spectrum_experiment)
 from .variation import local_variation_rank1
 
 
@@ -257,7 +257,10 @@ def cmd_recover(args) -> int:
     samples = SampleSet(samples.points, samples.values, samples.weights,
                         train_idx=np.sort(rest[n_val:]), val_idx=np.sort(rest[:n_val]),
                         test_idx=np.sort(perm[:n_test]) if n_test else None)
-    report = recover(samples, cfg, basis)
+    try:
+        report = recover(samples, cfg, basis)
+    except RecoveryError as exc:  # raised before the first sweep: bad data or config
+        raise CliError(str(exc))
     if not report.val_errors:
         # no sweep completed: the only iterate is the untrained start
         reason = f" (aborted: {report.aborted})" if report.aborted else ""
@@ -314,11 +317,14 @@ def cmd_variation(args) -> int:
 def cmd_phase_diagram(args) -> int:
     orders = _parse_list(args.orders, int)
     counts = _parse_list(args.counts, int)
-    grid = phase_diagram(orders, counts, realizations=args.realizations,
-                         target=args.target, algorithm=args.algorithm,
-                         dimension=args.dimension, n_test=args.test_samples,
-                         seed=args.seed, max_rank=args.max_rank,
-                         max_sweeps=args.max_sweeps, jobs=args.jobs)
+    try:
+        grid = phase_diagram(orders, counts, realizations=args.realizations,
+                             target=args.target, algorithm=args.algorithm,
+                             dimension=args.dimension, n_test=args.test_samples,
+                             seed=args.seed, max_rank=args.max_rank,
+                             max_sweeps=args.max_sweeps, jobs=args.jobs)
+    except BenchmarkError as exc:
+        raise CliError(str(exc))
     rows = [(orders[i], counts[j], grid[i, j])
             for i in range(len(orders)) for j in range(len(counts))]
     header = manifest_lines("phase-diagram", args, [], [args.out])
@@ -330,8 +336,11 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_darcy_gen(args) -> int:
-    model = DiffusionModel(args.model)
-    samples = generate_samples(model, args.n, seed=args.seed, grid=args.grid)
+    try:
+        model = DiffusionModel(args.model)
+        samples = generate_samples(model, args.n, seed=args.seed, grid=args.grid)
+    except BenchmarkError as exc:
+        raise CliError(str(exc))
     header = manifest_lines("darcy-gen", args, [], [args.out])
     cols = [f"y_{i + 1}" for i in range(model.n_params)] + ["u"]
     rows = [tuple(samples.points[i]) + (samples.values[i],) for i in range(samples.size)]

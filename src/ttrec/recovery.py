@@ -395,6 +395,9 @@ def recover(samples: SampleSet, config: RecoveryConfig,
         gramians = [g.matrix] * M
 
     train_idx, val_idx = _split_samples(samples, config.validation_fraction, config.seed)
+    if config.algorithm != "als" and len(train_idx) < config.cv_folds:
+        raise RecoveryError(f"{len(train_idx)} training samples are fewer than the "
+                            f"{config.cv_folds} cross-validation folds")
     B = [work_basis.evaluate(samples.points[:, m]) for m in range(M)]
     sw = np.sqrt(samples.weights)
     target = sw * samples.values

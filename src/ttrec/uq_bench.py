@@ -5,16 +5,18 @@ boundary, parametrized by a 20-dimensional coefficient (affine with uniform
 parameters, or log-normal with Gaussian parameters).  The scalar quantity of
 interest is the spatial integral of the solution field.  A 5-point finite
 difference scheme with harmonic-mean face coefficients discretizes the
-operator; recovery only ever sees (parameter, value) pairs, so any
+operator; the symmetric positive definite system is solved by banded
+Cholesky.  Recovery only ever sees (parameter, value) pairs, so any
 consistent discretization serves.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
+import scipy.sparse.linalg as splinalg  # noqa: F401 - the benchmark tracer (bench/layers.py) looks it up
+from scipy.linalg import solveh_banded
 
 from .bases import legendre_basis
 from .recovery import (RecoveryConfig, RecoveryError, SampleSet, recover,
@@ -66,15 +68,20 @@ class DiffusionModel:
             decay = (1.0 / h) / m
         return decay[(...,) + (None,) * np.ndim(x1)] * modes
 
-    def coefficient(self, x1, x2, y):
-        """Diffusion coefficient a(x, y); x components broadcast."""
+    def from_modes(self, modes, y):
+        """Coefficient from the stacked mode fields ``modes`` (parameter axis
+        first) and the parameter vector ``y``."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_params,):
             raise BenchmarkError(f"parameter vector must have length {self.n_params}")
-        field = np.tensordot(y, self._mode_fields(np.asarray(x1, float), np.asarray(x2, float)), axes=(0, 0))
+        field = np.tensordot(y, modes, axes=(0, 0))
         if self.kind == "affine":
             return 1.0 + field
         return np.exp(field)
+
+    def coefficient(self, x1, x2, y):
+        """Diffusion coefficient a(x, y); x components broadcast."""
+        return self.from_modes(self._mode_fields(np.asarray(x1, float), np.asarray(x2, float)), y)
 
 
 def coefficient(model: DiffusionModel, x, y):
@@ -82,53 +89,81 @@ def coefficient(model: DiffusionModel, x, y):
     return model.coefficient(x[..., 0], x[..., 1], y)
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_nodes(n: int):
+    """Read-only node coordinates (X1, X2) of the n x n cell grid, "ij" indexed."""
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    X1, X2 = np.meshgrid(nodes, nodes, indexing="ij")
+    X1.flags.writeable = X2.flags.writeable = False
+    return X1, X2
+
+
+@functools.lru_cache(maxsize=16)
+def _mode_stack(model: DiffusionModel, n: int) -> np.ndarray:
+    """Read-only (n_params, n+1, n+1) mode fields of ``model`` on the grid nodes."""
+    modes = model._mode_fields(*_grid_nodes(n))
+    modes.flags.writeable = False
+    return modes
+
+
+def _band_operator(a: np.ndarray, n: int) -> np.ndarray:
+    """5-point operator for the nodal coefficient ``a`` in LAPACK upper band
+    storage, shape (k + 1, k*k) with k = n - 1 interior nodes per side.
+
+    Interior node (i, j) is unknown i*k + j, so x2 neighbours sit at offset 1
+    and x1 neighbours at offset k.  Row k holds the diagonal, row k-1 the
+    offset-1 couplings (zero at each grid-row break), row 0 the offset-k
+    couplings.  ``harm(p, q) == harm(q, p)`` to the bit (doubling is exact),
+    so one face coefficient serves both of its nodes and the operator is
+    exactly symmetric.
+    """
+    def harm(p, q):
+        return 2.0 * p * q / (p + q)
+
+    k = n - 1
+    h2 = (1.0 / n) ** 2
+    f1 = harm(a[:-1, 1:-1], a[1:, 1:-1])    # (k+1, k): face between x1-nodes i, i+1
+    f2 = harm(a[1:-1, :-1], a[1:-1, 1:])    # (k, k+1): face between x2-nodes j, j+1
+    ab = np.zeros((k + 1, k, k))
+    ab[k] = (f1[1:] + f1[:-1] + f2[:, 1:] + f2[:, :-1]) / h2
+    ab[k - 1, :, 1:] = -f2[:, 1:-1] / h2
+    ab[0, 1:, :] = -f1[1:-1] / h2
+    return ab.reshape(k + 1, k * k)
+
+
 def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
     """Solve -div(a grad u) = f with zero Dirichlet data on an n x n cell grid.
 
     Returns the full (n+1) x (n+1) node field including the boundary zeros.
     ``model_or_field`` is a DiffusionModel (with parameter ``y``) or a
-    precomputed nodal coefficient array.  Face coefficients are harmonic
-    means of the node values; the sparse system is solved directly.
+    precomputed nodal coefficient array; ``f`` is called on the read-only
+    node coordinate arrays.  Face coefficients are harmonic means of the node
+    values; the symmetric positive definite system is solved by banded
+    Cholesky (LAPACK ``pbsv``).
     """
     if n < 8:
         raise BenchmarkError("grid must have at least 8 cells per side")
-    nodes = np.linspace(0.0, 1.0, n + 1)
-    X1, X2 = np.meshgrid(nodes, nodes, indexing="ij")
     if isinstance(model_or_field, DiffusionModel):
-        a = model_or_field.coefficient(X1, X2, y)
+        a = model_or_field.from_modes(_mode_stack(model_or_field, n), y)
     else:
         a = np.asarray(model_or_field, dtype=float)
         if a.shape != (n + 1, n + 1):
             raise BenchmarkError("coefficient field does not match the grid")
+    if not np.all(np.isfinite(a)):
+        raise BenchmarkError("diffusion coefficient is not finite on the grid")
     if np.any(a <= 0):
         raise BenchmarkError("diffusion coefficient is not positive on the grid")
-    if f is None:
-        fvals = np.ones((n + 1, n + 1))
-    else:
-        fvals = np.asarray(f(X1, X2), dtype=float)
-
-    def harm(p, q):
-        return 2.0 * p * q / (p + q)
-
-    aE = harm(a[1:-1, 1:-1], a[2:, 1:-1])
-    aW = harm(a[1:-1, 1:-1], a[:-2, 1:-1])
-    aN = harm(a[1:-1, 1:-1], a[1:-1, 2:])
-    aS = harm(a[1:-1, 1:-1], a[1:-1, :-2])
-    h2 = (1.0 / n) ** 2
     k = n - 1
-    idx = np.arange(k * k).reshape(k, k)
-    diag = (aE + aW + aN + aS).ravel() / h2
-    rows = [idx.ravel()]
-    cols = [idx.ravel()]
-    data = [diag]
-    # east/west couple x1-neighbours (first grid axis), north/south x2
-    rows.append(idx[:-1, :].ravel()); cols.append(idx[1:, :].ravel()); data.append(-aE[:-1, :].ravel() / h2)
-    rows.append(idx[1:, :].ravel()); cols.append(idx[:-1, :].ravel()); data.append(-aW[1:, :].ravel() / h2)
-    rows.append(idx[:, :-1].ravel()); cols.append(idx[:, 1:].ravel()); data.append(-aN[:, :-1].ravel() / h2)
-    rows.append(idx[:, 1:].ravel()); cols.append(idx[:, :-1].ravel()); data.append(-aS[:, 1:].ravel() / h2)
-    A = sparse.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(k * k, k * k))
-    u = splinalg.spsolve(A, fvals[1:-1, 1:-1].ravel())
+    if f is None:
+        rhs = np.ones(k * k)
+    else:
+        rhs = np.asarray(f(*_grid_nodes(n)), dtype=float)[1:-1, 1:-1].ravel()
+    try:
+        u = solveh_banded(_band_operator(a, n), rhs)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        # coefficients near the float range limits overflow or underflow
+        # in the face means
+        raise BenchmarkError(f"diffusion system cannot be solved: {exc}") from exc
     field = np.zeros((n + 1, n + 1))
     field[1:-1, 1:-1] = u.reshape(k, k)
     return field

@@ -3,11 +3,17 @@
 These deliberately avoid the code paths they check: the LASSO oracle is an
 accelerated proximal-gradient method (the solver under test is coordinate
 descent), tensor ranks come from dense matricizations, the Poisson value
-from its double sine series.  The exception is the reference coordinate
-descent and CV error loop below: they are the straightforward versions of
-the optimized solver code, kept to pin it to equal results.
+from its double sine series.  The exceptions are the reference coordinate
+descent and CV error loop below, the straightforward versions of the
+optimized solver code kept to pin it to equal results, and the reference
+diffusion solve, the sparse assembly and direct solve that the banded
+Cholesky solver replaced.
 """
 import numpy as np
+import scipy.sparse as sparse
+import scipy.sparse.linalg as splinalg
+
+from ttrec.uq_bench import BenchmarkError, DiffusionModel
 
 
 def prox_gradient_lasso(A, y, omega, lam, iters=100_000, tol=1e-14):
@@ -191,3 +197,50 @@ def reference_cv_errors(A, y, omega, folds=10, seed=0, refit=False):
     mean_errors = errors.mean(axis=1)
     best = np.nonzero(mean_errors <= mean_errors.min())[0]
     return mean_errors, float(lams[best[0]])
+
+
+def reference_solve_diffusion(model_or_field, y=None, n=64, f=None):
+    """The sparse-assembly diffusion solve (SuperLU ``spsolve``); returns the
+    node field and the assembled CSR operator."""
+    if n < 8:
+        raise BenchmarkError("grid must have at least 8 cells per side")
+    nodes = np.linspace(0.0, 1.0, n + 1)
+    X1, X2 = np.meshgrid(nodes, nodes, indexing="ij")
+    if isinstance(model_or_field, DiffusionModel):
+        a = model_or_field.coefficient(X1, X2, y)
+    else:
+        a = np.asarray(model_or_field, dtype=float)
+        if a.shape != (n + 1, n + 1):
+            raise BenchmarkError("coefficient field does not match the grid")
+    if np.any(a <= 0):
+        raise BenchmarkError("diffusion coefficient is not positive on the grid")
+    if f is None:
+        fvals = np.ones((n + 1, n + 1))
+    else:
+        fvals = np.asarray(f(X1, X2), dtype=float)
+
+    def harm(p, q):
+        return 2.0 * p * q / (p + q)
+
+    aE = harm(a[1:-1, 1:-1], a[2:, 1:-1])
+    aW = harm(a[1:-1, 1:-1], a[:-2, 1:-1])
+    aN = harm(a[1:-1, 1:-1], a[1:-1, 2:])
+    aS = harm(a[1:-1, 1:-1], a[1:-1, :-2])
+    h2 = (1.0 / n) ** 2
+    k = n - 1
+    idx = np.arange(k * k).reshape(k, k)
+    diag = (aE + aW + aN + aS).ravel() / h2
+    rows = [idx.ravel()]
+    cols = [idx.ravel()]
+    data = [diag]
+    # east/west couple x1-neighbours (first grid axis), north/south x2
+    rows.append(idx[:-1, :].ravel()); cols.append(idx[1:, :].ravel()); data.append(-aE[:-1, :].ravel() / h2)
+    rows.append(idx[1:, :].ravel()); cols.append(idx[:-1, :].ravel()); data.append(-aW[1:, :].ravel() / h2)
+    rows.append(idx[:, :-1].ravel()); cols.append(idx[:, 1:].ravel()); data.append(-aN[:, :-1].ravel() / h2)
+    rows.append(idx[:, 1:].ravel()); cols.append(idx[:, :-1].ravel()); data.append(-aS[:, 1:].ravel() / h2)
+    A = sparse.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(k * k, k * k))
+    u = splinalg.spsolve(A, fvals[1:-1, 1:-1].ravel())
+    field = np.zeros((n + 1, n + 1))
+    field[1:-1, 1:-1] = u.reshape(k, k)
+    return field, A

@@ -78,6 +78,19 @@ def test_recover_abort_before_first_sweep_writes_no_model(tmp_path, capsys, monk
     assert "internal error" not in err
 
 
+def test_recover_fewer_samples_than_cv_folds_exit_2(tmp_path, capsys):
+    samples = write_constant_fixture(tmp_path, n=12)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "m.tt"
+    rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "10 cross-validation folds" in err
+    assert "internal error" not in err
+
+
 def test_recover_missing_file_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["recover", "--config", str(cfg),
@@ -139,6 +152,24 @@ def test_darcy_gen_subcommand(tmp_path):
     ss = read_sample_csv(out)
     assert ss.points.shape == (2, 20)
     assert np.all(ss.values > 0)
+
+
+def test_darcy_gen_bad_arguments_exit_2(tmp_path, capsys):
+    out = tmp_path / "darcy.csv"
+    for extra in (["--n", "2", "--grid", "4"], ["--n", "0"]):
+        rc = main(["darcy-gen", "--out", str(out)] + extra)
+        assert rc == 2
+        assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_phase_diagram_bad_count_exit_2(tmp_path, capsys):
+    out = tmp_path / "phase.csv"
+    rc = main(["phase-diagram", "--orders", "2", "--counts", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_phase_diagram_subcommand(tmp_path):

@@ -403,6 +403,13 @@ def test_recover_rejects_empty_and_bad_config():
         RecoveryConfig(algorithm="nope")
     with pytest.raises(RecoveryError):
         RecoveryConfig(theta=1.5)
+    # 11 samples leave 9 training rows: too few for 10-fold CV, fine for als
+    rng = np.random.default_rng(0)
+    few = SampleSet(rng.uniform(-1, 1, (11, 2)), rng.standard_normal(11))
+    for algorithm in ("als_l2", "rals", "r2als"):
+        with pytest.raises(RecoveryError, match="9 training samples .* 10 cross-validation"):
+            recover(few, RecoveryConfig(algorithm=algorithm), legendre_basis(3))
+    assert recover(few, RecoveryConfig(algorithm="als", max_sweeps=1), legendre_basis(3)).val_errors
 
 
 def test_local_gramian_matches_dense_oracle():

@@ -9,8 +9,9 @@ from ttrec.uq_bench import (BenchmarkError, DiffusionModel, evaluate_target,
                             generate_samples, legendre_weight_matrix,
                             phase_diagram, qoi, solve_diffusion,
                             spectrum_experiment, synthetic_target)
+from ttrec.uq_bench import _band_operator, _grid_nodes, _mode_stack
 
-from oracles import poisson_unit_square_qoi
+from oracles import poisson_unit_square_qoi, reference_solve_diffusion
 
 
 def test_coefficient_at_zero_parameters():
@@ -84,8 +85,73 @@ def test_solver_symmetric_coefficient_gives_symmetric_field():
 def test_solver_rejects_bad_input():
     with pytest.raises(BenchmarkError):
         solve_diffusion(DiffusionModel("affine"), np.zeros(20), 4)
-    with pytest.raises(BenchmarkError):
-        solve_diffusion(-np.ones((17, 17)), None, 16)
+    # a non-finite coefficient (NaN, Inf, or exp overflow in the log-normal
+    # model) and magnitudes whose face means overflow or underflow
+    huge_y = np.full(20, 1e5)
+    fields = [-np.ones((17, 17)), np.ones((17, 17)), np.ones((17, 17)),
+              np.full((17, 17), 1e200), np.full((17, 17), 1e-200)]
+    fields[1][5, 7] = np.nan
+    fields[2][5, 7] = np.inf
+    with np.errstate(over="ignore"):
+        for a in fields:
+            with pytest.raises(BenchmarkError):
+                solve_diffusion(a, None, 16)
+        with pytest.raises(BenchmarkError):
+            solve_diffusion(DiffusionModel("lognormal"), huge_y, 16)
+
+
+def band_to_dense(ab):
+    """Symmetric dense matrix from LAPACK upper band storage."""
+    u, N = ab.shape[0] - 1, ab.shape[1]
+    A = np.zeros((N, N))
+    for r in range(u + 1):
+        off = u - r
+        i = np.arange(N - off)
+        A[i, i + off] = ab[r, off:]
+        A[i + off, i] = ab[r, off:]
+    return A
+
+
+def test_band_operator_equals_sparse_assembly():
+    rng = np.random.default_rng(12)
+    for kind in ("affine", "lognormal"):
+        model = DiffusionModel(kind)
+        for n in (8, 16):
+            y = rng.uniform(-1, 1, 20) if kind == "affine" else rng.standard_normal(20)
+            # the coefficient from the cached mode stack, the operator from it
+            a = model.from_modes(_mode_stack(model, n), y)
+            _, A = reference_solve_diffusion(model, y, n)
+            assert np.array_equal(band_to_dense(_band_operator(a, n)), A.toarray())
+
+
+def test_solver_matches_sparse_reference():
+    rng = np.random.default_rng(13)
+
+    def f(X1, X2):
+        return np.exp(X1) * np.cos(3 * X2)
+
+    def rel(x, ref):
+        return np.abs(x - ref).max() / np.abs(ref).max()
+
+    for kind in ("affine", "lognormal"):
+        model = DiffusionModel(kind)
+        for n in (8, 16, 64):
+            y = rng.uniform(-1, 1, 20) if kind == "affine" else rng.standard_normal(20)
+            a = model.coefficient(*_grid_nodes(n), y)
+            for args in ((model, y, n), (model, y, n, f), (a, None, n), (a, None, n, f)):
+                field = solve_diffusion(*args)
+                ref, _ = reference_solve_diffusion(*args)
+                assert rel(field, ref) <= 1e-12
+                assert abs(qoi(field, n) - qoi(ref, n)) <= 1e-12 * abs(qoi(ref, n))
+
+
+def test_grid_caches_are_read_only_and_shared():
+    X1, X2 = _grid_nodes(16)
+    modes = _mode_stack(DiffusionModel("lognormal"), 16)
+    assert not (X1.flags.writeable or X2.flags.writeable or modes.flags.writeable)
+    assert modes.shape == (20, 17, 17)
+    assert _mode_stack(DiffusionModel("lognormal"), 16) is modes
+    assert _mode_stack(DiffusionModel("affine"), 16) is not modes
 
 
 def test_qoi_trivia():
@@ -172,6 +238,12 @@ def test_phase_diagram_config_errors_propagate(monkeypatch):
 
     monkeypatch.setattr(uq, "recover", failing)
     grid = phase_diagram([2], [30], realizations=1, dimension=4, n_test=10)
+    assert np.isnan(grid[0, 0])
+
+
+def test_phase_diagram_too_few_samples_for_cv_is_nan_cell():
+    # 11 samples leave 9 training rows for 10 CV folds
+    grid = phase_diagram([2], [11], realizations=2, dimension=4, n_test=10)
     assert np.isnan(grid[0, 0])
 
 
