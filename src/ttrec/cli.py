@@ -224,7 +224,10 @@ def read_sample_csv(path) -> SampleSet:
         raise CliError(f"{path}: empty file")
     if not pts:
         raise CliError(f"{path}: no sample rows")
-    return SampleSet(np.array(pts), np.array(vals), np.array(wts))
+    try:
+        return SampleSet(np.array(pts), np.array(vals), np.array(wts))
+    except RecoveryError as exc:
+        raise CliError(f"{path}: {exc}")
 
 
 def _parse_list(text, conv):

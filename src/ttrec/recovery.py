@@ -58,6 +58,12 @@ class SampleSet:
         w = np.ones(n) if self.weights is None else np.asarray(self.weights, float)
         if w.shape != (n,) or np.any(w < 0):
             raise RecoveryError("weights must be nonnegative and match points")
+        finite = np.stack([np.isfinite(pts).all(axis=1), np.isfinite(vals), np.isfinite(w)])
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=0)))
+            bad = [name for name, ok in zip(("point", "value", "weight"), finite[:, i]) if not ok]
+            raise RecoveryError(f"sample {i} (counting from 0) has a non-finite "
+                                + " and ".join(bad))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "weights", w)

@@ -5,9 +5,14 @@ boundary, parametrized by a 20-dimensional coefficient (affine with uniform
 parameters, or log-normal with Gaussian parameters).  The scalar quantity of
 interest is the spatial integral of the solution field.  A 5-point finite
 difference scheme with harmonic-mean face coefficients discretizes the
-operator; the symmetric positive definite system is solved by banded
-Cholesky.  Recovery only ever sees (parameter, value) pairs, so any
-consistent discretization serves.
+operator.  The red nodes of a checkerboard split couple only to black ones,
+so they are eliminated exactly; the symmetric positive definite system left
+on the black nodes (half the unknowns, same bandwidth) is solved by banded
+Cholesky and the red values follow by back-substitution.  The values agree
+with a solve of the full operator to about 1e-14 relative, so samples
+written by earlier versions, which solved it, differ in the last digits.
+Recovery only ever sees (parameter, value) pairs, so any consistent
+discretization serves.
 """
 from __future__ import annotations
 
@@ -106,29 +111,95 @@ def _mode_stack(model: DiffusionModel, n: int) -> np.ndarray:
     return modes
 
 
-def _band_operator(a: np.ndarray, n: int) -> np.ndarray:
-    """5-point operator for the nodal coefficient ``a`` in LAPACK upper band
-    storage, shape (k + 1, k*k) with k = n - 1 interior nodes per side.
+# offsets from a black node to itself and to the black nodes after it that
+# share a red neighbour with it, in the order of the condensed entry fields
+_BLACK_OFFSETS = ((0, 0), (0, 2), (2, 0), (1, 1), (1, -1))
 
-    Interior node (i, j) is unknown i*k + j, so x2 neighbours sit at offset 1
-    and x1 neighbours at offset k.  Row k holds the diagonal, row k-1 the
-    offset-1 couplings (zero at each grid-row break), row 0 the offset-k
-    couplings.  ``harm(p, q) == harm(q, p)`` to the bit (doubling is exact),
-    so one face coefficient serves both of its nodes and the operator is
-    exactly symmetric.
+
+@functools.lru_cache(maxsize=16)
+def _checkerboard(n: int):
+    """Read-only index maps of the red-black split of the n x n cell grid.
+
+    Interior node (i, j), 0 <= i, j < k = n - 1, is red when i + j is even
+    and black otherwise; black nodes are numbered row-major, so the later
+    black neighbours (i, j+2), (i+1, j-1), (i+1, j+1) and (i+2, j) sit at
+    band offsets 1, about k/2 and k.  Returns ``(black, red, src, dst)``:
+    the flat interior indices of each colour, and the scatter
+    ``ab.flat[dst] = entries.flat[src]`` from the (5, k, k) entry fields of
+    :func:`_condense` (one per offset in ``_BLACK_OFFSETS``) into upper band
+    storage of shape (k + 1, len(black)).
+    """
+    k = n - 1
+    i, j = np.indices((k, k))
+    is_black = (i + j) % 2 == 1
+    n_black = int(np.count_nonzero(is_black))
+    number = np.full((k, k), -1)
+    number[is_black] = np.arange(n_black)
+    src, dst = [], []
+    for t, (di, dj) in enumerate(_BLACK_OFFSETS):
+        ok = is_black & (i + di < k) & (j + dj >= 0) & (j + dj < k)
+        row = number[ok]
+        col = number[i[ok] + di, j[ok] + dj]
+        src.append(t * k * k + np.flatnonzero(ok))
+        dst.append((k - (col - row)) * n_black + col)
+    maps = (np.flatnonzero(is_black), np.flatnonzero(~is_black),
+            np.concatenate(src), np.concatenate(dst))
+    for m in maps:
+        m.flags.writeable = False
+    return maps
+
+
+def _condense(a: np.ndarray, n: int):
+    """Eliminate the red nodes from the 5-point operator for the nodal
+    coefficient ``a``.
+
+    A red node couples only to black nodes, so the red block of the operator
+    is diagonal and the black Schur complement S = A_bb - A_br D_r^-1 A_rb
+    is exact.  Returns ``(ab, w, inv_d)``: h^2 S in LAPACK upper band
+    storage with half-bandwidth k = n - 1; the ratios w = c / d of each
+    interior node's west, east, south and north face coefficient c to its
+    face sum d, shape (4, k, k); and 1 / d.  The face sum d is h^2 times the
+    operator's diagonal.  ``harm(p, q) == harm(q, p)`` to the bit (doubling
+    is exact), so one face coefficient serves both of its nodes.
     """
     def harm(p, q):
         return 2.0 * p * q / (p + q)
 
     k = n - 1
-    h2 = (1.0 / n) ** 2
     f1 = harm(a[:-1, 1:-1], a[1:, 1:-1])    # (k+1, k): face between x1-nodes i, i+1
     f2 = harm(a[1:-1, :-1], a[1:-1, 1:])    # (k, k+1): face between x2-nodes j, j+1
-    ab = np.zeros((k + 1, k, k))
-    ab[k] = (f1[1:] + f1[:-1] + f2[:, 1:] + f2[:, :-1]) / h2
-    ab[k - 1, :, 1:] = -f2[:, 1:-1] / h2
-    ab[0, 1:, :] = -f1[1:-1] / h2
-    return ab.reshape(k + 1, k * k)
+    cW, cE, cS, cN = f1[:-1], f1[1:], f2[:, :-1], f2[:, 1:]
+    d = cW + cE + cS + cN
+    # a magnitude near the float range limits over- or underflows the face
+    # means; stop before inf * 0 = NaN reaches the factorization
+    if not 0 < d.min() <= d.max() < np.inf:
+        raise BenchmarkError("diffusion system cannot be solved: "
+                             "a face sum is not finite and positive")
+    inv_d = 1.0 / d
+    w = np.stack((cW, cE, cS, cN)) * inv_d
+    wW, wE, wS, wN = w
+    # entry of black node (i, j) and its later black neighbour (i, j) + offset;
+    # each term is c_br c_rb' / d_r for the red node r between the two
+    ent = np.zeros((5, k, k))
+    diag, e02, e20, e11, e1m = ent
+    diag[:] = d
+    diag[1:] -= cE[:-1] * wE[:-1]
+    diag[:-1] -= cW[1:] * wW[1:]
+    diag[:, 1:] -= cN[:, :-1] * wN[:, :-1]
+    diag[:, :-1] -= cS[:, 1:] * wS[:, 1:]
+    e02[:, :-1] = -cS[:, 1:] * wN[:, 1:]
+    e20[:-1] = -cW[1:] * wE[1:]
+    e11[:-1] = -cW[1:] * wN[1:]
+    e11[:, :-1] -= cS[:, 1:] * wE[:, 1:]
+    e1m[:-1] = -cW[1:] * wS[1:]
+    e1m[:, 1:] -= cN[:, :-1] * wE[:, :-1]
+    _, _, src, dst = _checkerboard(n)
+    ab = np.zeros((k + 1, (k * k) // 2))
+    ab.reshape(-1)[dst] = ent.reshape(-1)[src]
+    if not 0 < ab[k].min() <= ab[k].max() < np.inf:
+        raise BenchmarkError("diffusion system cannot be solved: "
+                             "a condensed diagonal entry is not finite and positive")
+    return ab, w, inv_d
 
 
 def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
@@ -138,8 +209,11 @@ def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
     ``model_or_field`` is a DiffusionModel (with parameter ``y``) or a
     precomputed nodal coefficient array; ``f`` is called on the read-only
     node coordinate arrays.  Face coefficients are harmonic means of the node
-    values; the symmetric positive definite system is solved by banded
-    Cholesky (LAPACK ``pbsv``).
+    values.  The red nodes of the checkerboard split are eliminated exactly,
+    the symmetric positive definite system on the black nodes is solved by
+    banded Cholesky (LAPACK ``pbsv``), and the red values follow by
+    back-substitution; the field agrees with a full-operator solve to about
+    1e-14 relative.
     """
     if n < 8:
         raise BenchmarkError("grid must have at least 8 cells per side")
@@ -154,18 +228,35 @@ def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
     if np.any(a <= 0):
         raise BenchmarkError("diffusion coefficient is not positive on the grid")
     k = n - 1
+    h2 = (1.0 / n) ** 2
     if f is None:
-        rhs = np.ones(k * k)
+        F = np.full((k, k), h2)
     else:
-        rhs = np.asarray(f(*_grid_nodes(n)), dtype=float)[1:-1, 1:-1].ravel()
+        F = h2 * np.asarray(f(*_grid_nodes(n)), dtype=float)[1:-1, 1:-1]
+    black, red, _, _ = _checkerboard(n)
+    ab, (wW, wE, wS, wN), inv_d = _condense(a, n)
+    # condensed right-hand side h^2 (f_b - A_br D_r^-1 f_r), gathered from
+    # the red west, east, south and north neighbours
+    g = F.copy()
+    g[1:] += wE[:-1] * F[:-1]
+    g[:-1] += wW[1:] * F[1:]
+    g[:, 1:] += wN[:, :-1] * F[:, :-1]
+    g[:, :-1] += wS[:, 1:] * F[:, 1:]
     try:
-        u = solveh_banded(_band_operator(a, n), rhs)
+        ub = solveh_banded(ab, g.reshape(-1)[black])
     except (ValueError, np.linalg.LinAlgError) as exc:
-        # coefficients near the float range limits overflow or underflow
-        # in the face means
+        # the checks in _condense catch over- and underflow; this reports a
+        # system that is still not numerically positive definite
         raise BenchmarkError(f"diffusion system cannot be solved: {exc}") from exc
+    u = np.zeros((k, k))
+    u.reshape(-1)[black] = ub
     field = np.zeros((n + 1, n + 1))
-    field[1:-1, 1:-1] = u.reshape(k, k)
+    field[1:-1, 1:-1] = u
+    # u_r = D_r^-1 (f_r - A_rb u_b); the red entries of the field are still zero
+    ur = (F * inv_d + wW * field[:-2, 1:-1] + wE * field[2:, 1:-1]
+          + wS * field[1:-1, :-2] + wN * field[1:-1, 2:])
+    u.reshape(-1)[red] = ur.reshape(-1)[red]
+    field[1:-1, 1:-1] = u
     return field
 
 

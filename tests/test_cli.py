@@ -58,6 +58,25 @@ def test_recover_malformed_row_exit_2(tmp_path, capsys):
     assert "row 6" in capsys.readouterr().err
 
 
+def test_recover_bad_sample_values_exit_2(tmp_path, capsys):
+    samples = write_constant_fixture(tmp_path, n=30)
+    lines = samples.read_text().splitlines()
+    cfg = write_config(tmp_path)
+    weighted = [lines[0] + ",w"] + [line + ",1.0" for line in lines[1:]]
+    weighted[4] = lines[4] + ",-1.0"
+    lines[5] = "0.1,0.2,0.3,nan"
+    for text, message in ((lines, "sample 4 (counting from 0) has a non-finite value"),
+                          (weighted, "weights must be nonnegative")):
+        samples.write_text("\n".join(text) + "\n")
+        rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+                   "--out", str(tmp_path / "m.tt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(samples) in err and message in err
+        assert "internal error" not in err
+    assert not (tmp_path / "m.tt").exists()
+
+
 def test_recover_abort_before_first_sweep_writes_no_model(tmp_path, capsys, monkeypatch):
     import ttrec.recovery as recovery
 
@@ -145,13 +164,15 @@ def test_spectrum_subcommand(tmp_path):
 
 def test_darcy_gen_subcommand(tmp_path):
     out = tmp_path / "darcy.csv"
-    rc = main(["--timestamp", "2026-01-01T00:00:00Z", "darcy-gen",
-               "--model", "affine", "--n", "2", "--grid", "16",
-               "--out", str(out)])
-    assert rc == 0
-    ss = read_sample_csv(out)
-    assert ss.points.shape == (2, 20)
-    assert np.all(ss.values > 0)
+    # an odd grid leaves an even number of interior nodes per side
+    for grid, count in ((16, 2), (9, 3)):
+        rc = main(["--timestamp", "2026-01-01T00:00:00Z", "darcy-gen",
+                   "--model", "affine", "--n", str(count), "--grid", str(grid),
+                   "--out", str(out)])
+        assert rc == 0
+        ss = read_sample_csv(out)
+        assert ss.points.shape == (count, 20)
+        assert np.all(ss.values > 0)
 
 
 def test_darcy_gen_bad_arguments_exit_2(tmp_path, capsys):

@@ -412,6 +412,26 @@ def test_recover_rejects_empty_and_bad_config():
     assert recover(few, RecoveryConfig(algorithm="als", max_sweeps=1), legendre_basis(3)).val_errors
 
 
+def test_non_finite_samples_rejected():
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(-1, 1, (40, 2))
+    vals = rng.standard_normal(40)
+    inf_vals = vals.copy()
+    inf_vals[7] = np.inf
+    for algorithm in ("als", "als_l2", "rals", "r2als"):
+        with pytest.raises(RecoveryError, match="sample 7 .* non-finite value"):
+            recover(SampleSet(pts, inf_vals), RecoveryConfig(algorithm=algorithm),
+                    legendre_basis(3))
+    nan_pts = pts.copy()
+    nan_pts[3, 1] = np.nan
+    with pytest.raises(RecoveryError, match="sample 3 .* non-finite point$"):
+        SampleSet(nan_pts, inf_vals)
+    weights = np.ones(40)
+    weights[5] = np.nan
+    with pytest.raises(RecoveryError, match="sample 5 .* non-finite weight$"):
+        SampleSet(pts, vals, weights)
+
+
 def test_local_gramian_matches_dense_oracle():
     rng = np.random.default_rng(26)
     d, M, m = 3, 3, 1

@@ -9,7 +9,7 @@ from ttrec.uq_bench import (BenchmarkError, DiffusionModel, evaluate_target,
                             generate_samples, legendre_weight_matrix,
                             phase_diagram, qoi, solve_diffusion,
                             spectrum_experiment, synthetic_target)
-from ttrec.uq_bench import _band_operator, _grid_nodes, _mode_stack
+from ttrec.uq_bench import _checkerboard, _condense, _grid_nodes, _mode_stack
 
 from oracles import poisson_unit_square_qoi, reference_solve_diffusion
 
@@ -112,16 +112,28 @@ def band_to_dense(ab):
     return A
 
 
-def test_band_operator_equals_sparse_assembly():
+def test_condensed_operator_equals_dense_schur_complement():
+    # odd and even k = n - 1 place the diagonal couplings in different band rows
     rng = np.random.default_rng(12)
     for kind in ("affine", "lognormal"):
         model = DiffusionModel(kind)
-        for n in (8, 16):
+        for n in (8, 9, 16, 17):
             y = rng.uniform(-1, 1, 20) if kind == "affine" else rng.standard_normal(20)
-            # the coefficient from the cached mode stack, the operator from it
             a = model.from_modes(_mode_stack(model, n), y)
             _, A = reference_solve_diffusion(model, y, n)
-            assert np.array_equal(band_to_dense(_band_operator(a, n)), A.toarray())
+            A = A.toarray()
+            k = n - 1
+            i, j = np.divmod(np.arange(k * k), k)
+            black = np.flatnonzero((i + j) % 2 == 1)
+            red = np.flatnonzero((i + j) % 2 == 0)
+            A_rr = A[np.ix_(red, red)]
+            assert np.array_equal(A_rr, np.diag(np.diag(A_rr)))
+            A_br = A[np.ix_(black, red)]
+            S = A[np.ix_(black, black)] - A_br @ (A_br.T / np.diag(A_rr)[:, None])
+            ab, _, _ = _condense(a, n)
+            assert ab.shape == (k + 1, (k * k) // 2)
+            S_band = band_to_dense(ab) * n**2
+            assert np.abs(S_band - S).max() <= 1e-13 * np.abs(S).max()
 
 
 def test_solver_matches_sparse_reference():
@@ -135,7 +147,7 @@ def test_solver_matches_sparse_reference():
 
     for kind in ("affine", "lognormal"):
         model = DiffusionModel(kind)
-        for n in (8, 16, 64):
+        for n in (8, 9, 16, 17, 64, 65):
             y = rng.uniform(-1, 1, 20) if kind == "affine" else rng.standard_normal(20)
             a = model.coefficient(*_grid_nodes(n), y)
             for args in ((model, y, n), (model, y, n, f), (a, None, n), (a, None, n, f)):
@@ -152,6 +164,9 @@ def test_grid_caches_are_read_only_and_shared():
     assert modes.shape == (20, 17, 17)
     assert _mode_stack(DiffusionModel("lognormal"), 16) is modes
     assert _mode_stack(DiffusionModel("affine"), 16) is not modes
+    maps = _checkerboard(16)
+    assert _checkerboard(16) is maps
+    assert not any(m.flags.writeable for m in maps)
 
 
 def test_qoi_trivia():
