@@ -177,6 +177,10 @@ def read_recovery_config(path):
                 raise CliError(f"{path}: bad value for {key}: {raw!r}")
         else:
             raise CliError(f"{path}: unknown config key {key!r}")
+    if extras["dimension"] < 1:
+        raise CliError(f"{path}: dimension must be >= 1")
+    if not 0.0 <= extras["test_fraction"] < 1.0:
+        raise CliError(f"{path}: test_fraction must lie in [0, 1)")
     try:
         cfg = RecoveryConfig(**cfg_kwargs)
     except Exception as exc:

@@ -103,6 +103,16 @@ class RecoveryConfig:
             raise RecoveryError("theta must lie in (0, 1)")
         if self.buffer < 0:
             raise RecoveryError("buffer must be >= 0")
+        if self.max_sweeps < 1:
+            raise RecoveryError("max_sweeps must be >= 1")
+        if self.cv_folds < 2:
+            raise RecoveryError("cv_folds must be >= 2")
+        if self.lambda_grid_points < 1:
+            raise RecoveryError("lambda_grid_points must be >= 1")
+        if not self.lambda_grid_decades > 0.0:
+            raise RecoveryError("lambda_grid_decades must be > 0")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise RecoveryError("validation_fraction must lie in [0, 1)")
 
 
 @dataclass
@@ -244,6 +254,17 @@ def local_gramian(tt: TensorTrain, m: int, gramians) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
+def _cv_lasso(A: np.ndarray, u: np.ndarray, folds: int, seed: int,
+              decades: float, points: int):
+    """The LASSO microstep body: cross-validated lambda, LASSO solve, least
+    squares on the selected support.  Returns ``(v, lam)``."""
+    omega = np.ones(A.shape[1])
+    cv = cv_select_lambda(A, u, omega, folds=folds, seed=seed,
+                          decades=decades, points=points)
+    v = lasso_solve(LassoProblem(A, u, omega, cv.chosen))
+    return debias_on_support(A, u, v), cv.chosen
+
+
 def microstep_rals(A: np.ndarray, u: np.ndarray, H: np.ndarray, folds: int = 10,
                    seed: int = 0, decades: float = 4.0, points: int = 25):
     """Variation-restricted microstep: weighted LASSO via the local Gramian.
@@ -256,12 +277,8 @@ def microstep_rals(A: np.ndarray, u: np.ndarray, H: np.ndarray, folds: int = 10,
     s, Q = np.linalg.eigh(np.asarray(H, float))
     s = np.maximum(s, EIG_FLOOR)
     W = Q / np.sqrt(s)            # combination "rotate, then unweight"
-    At = A @ W
-    cv = cv_select_lambda(At, u, np.ones(At.shape[1]), folds=folds, seed=seed,
-                          decades=decades, points=points, refit=True)
-    U = lasso_solve(LassoProblem(At, u, np.ones(At.shape[1]), cv.chosen))
-    U = debias_on_support(At, u, U)
-    return W @ U, cv.chosen
+    U, lam = _cv_lasso(A @ W, u, folds, seed, decades, points)
+    return W @ U, lam
 
 
 def microstep_r2als(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
@@ -269,12 +286,7 @@ def microstep_r2als(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0
     """Plain cross-validated LASSO on the raw local coordinates (the basis
     is assumed Gramian-orthonormalized upfront), debiased by least squares
     on the selected support.  Returns ``(v, lam)``."""
-    omega = np.ones(A.shape[1])
-    cv = cv_select_lambda(A, u, omega, folds=folds, seed=seed,
-                          decades=decades, points=points, refit=True)
-    v = lasso_solve(LassoProblem(A, u, omega, cv.chosen))
-    v = debias_on_support(A, u, v)
-    return v, cv.chosen
+    return _cv_lasso(A, u, folds, seed, decades, points)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +413,8 @@ def recover(samples: SampleSet, config: RecoveryConfig,
         gramians = [g.matrix] * M
 
     train_idx, val_idx = _split_samples(samples, config.validation_fraction, config.seed)
+    if len(train_idx) == 0:
+        raise RecoveryError("the sample split leaves no training samples")
     if config.algorithm != "als" and len(train_idx) < config.cv_folds:
         raise RecoveryError(f"{len(train_idx)} training samples are fewer than the "
                             f"{config.cv_folds} cross-validation folds")
@@ -417,6 +431,8 @@ def recover(samples: SampleSet, config: RecoveryConfig,
 
     report = RecoveryReport(tt=tt, basis=work_basis, train_errors=[], val_errors=[],
                             rank_history=[], lambdas=[], best_sweep=-1)
+    cv = (config.cv_folds, config.seed, config.lambda_grid_decades,
+          config.lambda_grid_points)
     best_err = np.inf
     marker_err = np.inf
     stall = 0
@@ -439,23 +455,14 @@ def recover(samples: SampleSet, config: RecoveryConfig,
                     report.underdetermined.append((sweep, m))
                 if config.algorithm == "als":
                     v, _ = microstep_ls(A, u)
-                    lam_sweep.append(0.0)
+                    lam = 0.0
                 elif config.algorithm == "als_l2":
-                    v, lam = microstep_l2(A, u, config.cv_folds, config.seed,
-                                          config.lambda_grid_decades,
-                                          config.lambda_grid_points)
-                    lam_sweep.append(lam)
+                    v, lam = microstep_l2(A, u, *cv)
                 elif config.algorithm == "rals":
-                    H = local_gramian(tt, m, gramians)
-                    v, lam = microstep_rals(A, u, H, config.cv_folds, config.seed,
-                                            config.lambda_grid_decades,
-                                            config.lambda_grid_points)
-                    lam_sweep.append(lam)
+                    v, lam = microstep_rals(A, u, local_gramian(tt, m, gramians), *cv)
                 else:
-                    v, lam = microstep_r2als(A, u, config.cv_folds, config.seed,
-                                             config.lambda_grid_decades,
-                                             config.lambda_grid_points)
-                    lam_sweep.append(lam)
+                    v, lam = microstep_r2als(A, u, *cv)
+                lam_sweep.append(lam)
                 shape = (tt.components[m].shape[0], d, tt.components[m].shape[2])
                 tt = tt.with_component(m, v.reshape(shape))
                 if m < M - 1:

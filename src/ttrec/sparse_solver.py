@@ -12,17 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap
+# read by the benchmark's run stamp (bench/run.py), which records the engine;
+# coordinate descent has one engine, the numpy one in _cd_gram
+HAVE_NUMBA = False
 
 MAX_SWEEPS = 10_000
 OBJ_RTOL = 1e-10
@@ -161,87 +153,12 @@ def _cd_gram(G, b, thresholds, x0, max_sweeps=MAX_SWEEPS,
     return x, sweep
 
 
-@njit(cache=True)
-def _cd_path_kernel(G, fold_of, b, t, x, max_sweeps, obj_rtol):  # pragma: no cover
-    """Compiled batched descent: member i uses Gram ``G[fold_of[i]]``.
-
-    Members are frozen individually once their objective stagnates or they
-    reach an exact fixed point.  Mutates ``x`` in place.
-    """
-    B, p = x.shape
-    Gx = np.zeros((B, p))
-    obj = np.zeros(B)
-    for i in range(B):
-        f = fold_of[i]
-        for j in range(p):
-            acc = 0.0
-            for k in range(p):
-                acc += G[f, j, k] * x[i, k]
-            Gx[i, j] = acc
-        o = 0.0
-        for k in range(p):
-            o += x[i, k] * Gx[i, k] - 2.0 * b[i, k] * x[i, k] + 2.0 * t[i, k] * abs(x[i, k])
-        obj[i] = o
-    active = np.ones(B, np.bool_)
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        progressed = False
-        for i in range(B):
-            if not active[i]:
-                continue
-            progressed = True
-            f = fold_of[i]
-            moved = False
-            for k in range(p):
-                gkk = G[f, k, k]
-                if gkk <= 0.0:
-                    continue
-                z = b[i, k] - (Gx[i, k] - gkk * x[i, k])
-                tk = t[i, k]
-                if z > tk:
-                    new = (z - tk) / gkk
-                elif z < -tk:
-                    new = (z + tk) / gkk
-                else:
-                    new = 0.0
-                d = new - x[i, k]
-                if d != 0.0:
-                    moved = True
-                    for j in range(p):
-                        Gx[i, j] += G[f, j, k] * d
-                    x[i, k] = new
-            o = 0.0
-            for k in range(p):
-                o += x[i, k] * Gx[i, k] - 2.0 * b[i, k] * x[i, k] + 2.0 * t[i, k] * abs(x[i, k])
-            change = abs(obj[i] - o)
-            limit = abs(o)
-            if limit < 1.0:
-                limit = 1.0
-            if not moved or change <= obj_rtol * limit:
-                active[i] = False
-            obj[i] = o
-        sweeps = sweep + 1
-        if not progressed:
-            break
-    return sweeps
-
-
 def _solve_path(G, b, thresholds, p):
     """Solve a (lambdas, folds) grid of LASSO problems on shared fold Grams.
 
     ``G``: (F, p, p); ``b``: (F, p); ``thresholds``: (L, 1, p) or
     broadcastable.  Returns solutions of shape (L, F, p).
     """
-    F = G.shape[0]
-    L = thresholds.shape[0]
-    if HAVE_NUMBA:
-        t = np.ascontiguousarray(np.broadcast_to(thresholds, (L, F, p)).reshape(L * F, p))
-        bb = np.ascontiguousarray(np.broadcast_to(b, (L, F, p)).reshape(L * F, p))
-        fold_of = np.tile(np.arange(F), L)
-        x = np.zeros((L * F, p))
-        _cd_path_kernel(np.ascontiguousarray(G), fold_of, bb, t, x,
-                        MAX_SWEEPS, OBJ_RTOL)
-        return x.reshape(L, F, p)
     x, _ = _cd_gram(G, b, thresholds, np.zeros(p))
     return x
 
@@ -320,10 +237,10 @@ def _null_space_jump(G, lam_omega, x):
     return out if improved_any else None
 
 
-def lasso_solve(problem: LassoProblem, x0=None, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
+def lasso_solve(problem: LassoProblem, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     """Coordinate-descent minimizer of the weighted LASSO objective.
 
-    Runs coordinate descent in growing chunks; between chunks a
+    Runs coordinate descent from zero in growing chunks; between chunks a
     rank-deficient support is unstuck by an exact null-space line search
     and the stationarity system is polished on the active set (plain
     descent crawls in flat valleys).  Warns with the residual if the KKT
@@ -339,7 +256,7 @@ def lasso_solve(problem: LassoProblem, x0=None, max_sweeps: int = MAX_SWEEPS) ->
     lam_omega = problem.lam * problem.omega
     # absolute 1e-8 on unit-scale data, relative guard for large magnitudes
     tol = max(KKT_TOL, 1e-12 * 2.0 * float(np.abs(b).max(initial=0.0)))
-    x = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float)
+    x = np.zeros(p)
     used = 0
     chunk = 50
     res = np.inf
@@ -428,18 +345,17 @@ def _held_out_error(A, y, v) -> float:
 
 
 def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
-                     decades: float = 4.0, points: int = 25,
-                     refit: bool = False) -> CvReport:
+                     decades: float = 4.0, points: int = 25) -> CvReport:
     """Pick the regularization strength by k-fold cross-validation.
 
     The validation loss is the same squared empirical norm as the fit (the
-    design rows already carry sqrt-weights).  Among lambdas tying at the
-    minimum, the largest (sparsest model) wins.  With ``refit`` the
-    held-out error is evaluated for the least-squares refit on each
-    solution's support, so lambda purely selects the sparsity pattern.
-    The refit depends on the support alone, so each distinct (fold,
-    support) pair is refitted and scored once and its held-out error
-    reused by every lambda that selects it.
+    design rows already carry sqrt-weights).  The held-out error is always
+    that of the least-squares refit on each path solution's support, so
+    lambda purely selects the sparsity pattern.  Among lambdas tying at
+    the minimum, the largest (sparsest model) wins.  The refit depends on
+    the support alone, so each distinct (fold, support) pair is refitted
+    and scored once and its held-out error reused by every lambda that
+    selects it.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -472,9 +388,6 @@ def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
         A_fit, y_fit, A_hold, y_hold = A[m], y[m], A[hold], y[hold]
         refits = {}  # support -> held-out error of its refit
         for i in range(len(lams)):
-            if not refit:
-                errors[i, f] = _held_out_error(A_hold, y_hold, x[i, f])
-                continue
             support = supports[i, f].tobytes()
             if support not in refits:
                 refits[support] = _held_out_error(

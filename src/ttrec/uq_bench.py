@@ -208,12 +208,13 @@ def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
     Returns the full (n+1) x (n+1) node field including the boundary zeros.
     ``model_or_field`` is a DiffusionModel (with parameter ``y``) or a
     precomputed nodal coefficient array; ``f`` is called on the read-only
-    node coordinate arrays.  Face coefficients are harmonic means of the node
-    values.  The red nodes of the checkerboard split are eliminated exactly,
-    the symmetric positive definite system on the black nodes is solved by
-    banded Cholesky (LAPACK ``pbsv``), and the red values follow by
-    back-substitution; the field agrees with a full-operator solve to about
-    1e-14 relative.
+    node coordinate arrays and its result, which must be finite, is
+    broadcast to the node grid (a constant serves).  Face coefficients are
+    harmonic means of the node values.  The red nodes of the checkerboard
+    split are eliminated exactly, the symmetric positive definite system on
+    the black nodes is solved by banded Cholesky (LAPACK ``pbsv``), and the
+    red values follow by back-substitution; the field agrees with a
+    full-operator solve to about 1e-14 relative.
     """
     if n < 8:
         raise BenchmarkError("grid must have at least 8 cells per side")
@@ -232,7 +233,14 @@ def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
     if f is None:
         F = np.full((k, k), h2)
     else:
-        F = h2 * np.asarray(f(*_grid_nodes(n)), dtype=float)[1:-1, 1:-1]
+        try:
+            fn = np.broadcast_to(np.asarray(f(*_grid_nodes(n)), dtype=float), (n + 1, n + 1))
+        except ValueError as exc:
+            raise BenchmarkError(f"source term does not broadcast to the "
+                                 f"{n + 1} x {n + 1} node grid: {exc}") from exc
+        if not np.all(np.isfinite(fn)):
+            raise BenchmarkError("source term is not finite on the grid")
+        F = h2 * fn[1:-1, 1:-1]
     black, red, _, _ = _checkerboard(n)
     ab, (wW, wE, wS, wN), inv_d = _condense(a, n)
     # condensed right-hand side h^2 (f_b - A_br D_r^-1 f_r), gathered from
@@ -269,22 +277,17 @@ def qoi(field: np.ndarray, n: int) -> float:
     return float(w @ field @ w) / n**2
 
 
-def generate_samples(model: DiffusionModel, n_samples: int, sampling: str = None,
-                     seed: int = 0, grid: int = 64) -> SampleSet:
-    """Draw i.i.d. parameters from the model's measure and solve for the
-    quantity of interest; sampling weights are identically 1.
-
-    ``sampling`` defaults to the model's own measure; variation-optimal
-    sampling stays available through
-    :func:`ttrec.variation.sample_optimal_weights` but is off by default.
+def generate_samples(model: DiffusionModel, n_samples: int, seed: int = 0,
+                     grid: int = 64) -> SampleSet:
+    """Draw i.i.d. parameters from the model's measure (uniform on
+    [-1, 1]^n_params for the affine model, standard normal for the
+    log-normal one) and solve for the quantity of interest; sampling
+    weights are identically 1.
     """
     if n_samples < 1:
         raise BenchmarkError("need at least one sample")
-    sampling = sampling or model.measure
-    if sampling not in ("uniform", "gaussian"):
-        raise BenchmarkError(f"unknown sampling {sampling!r}")
     rng = np.random.default_rng(seed)
-    if sampling == "uniform":
+    if model.measure == "uniform":
         pts = rng.uniform(-1.0, 1.0, (n_samples, model.n_params))
     else:
         pts = rng.standard_normal((n_samples, model.n_params))

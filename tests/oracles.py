@@ -168,7 +168,7 @@ def reference_cd_gram(G, b, thresholds, x0, max_sweeps=10_000, obj_rtol=1e-10,
     return x, sweep
 
 
-def reference_cv_errors(A, y, omega, folds=10, seed=0, refit=False):
+def reference_cv_errors(A, y, omega, folds=10, seed=0):
     """Mean held-out error per lambda and the chosen lambda of
     ``cv_select_lambda``, refitting every (lambda, fold) member on its own
     (no memo) on top of ``reference_cd_gram``."""
@@ -189,9 +189,7 @@ def reference_cv_errors(A, y, omega, folds=10, seed=0, refit=False):
     errors = np.zeros((len(lams), folds))
     for i in range(len(lams)):
         for f, hold in enumerate(idx):
-            xf = x[i, f]
-            if refit:
-                xf = debias_on_support(A[masks[f]], y[masks[f]], xf)
+            xf = debias_on_support(A[masks[f]], y[masks[f]], x[i, f])
             r = y[hold] - A[hold] @ xf
             errors[i, f] = (r @ r) / len(hold)
     mean_errors = errors.mean(axis=1)

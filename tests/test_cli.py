@@ -110,6 +110,24 @@ def test_recover_fewer_samples_than_cv_folds_exit_2(tmp_path, capsys):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_sweeps", 0), ("cv_folds", 0), ("cv_folds", 1), ("lambda_grid_points", 0),
+    ("lambda_grid_decades", 0), ("lambda_grid_decades", -1),
+    ("validation_fraction", 1.2), ("test_fraction", -0.1), ("test_fraction", 1.5),
+    ("dimension", 0)])
+def test_recover_out_of_range_config_exit_2(tmp_path, capsys, key, value):
+    samples = write_constant_fixture(tmp_path, n=100)
+    algorithm = "als" if key in ("validation_fraction", "test_fraction") else "r2als"
+    cfg = write_config(tmp_path, algorithm=algorithm, **{key: value})
+    out = tmp_path / "m.tt"
+    rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert key in err and "internal error" not in err
+
+
 def test_recover_missing_file_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = main(["recover", "--config", str(cfg),

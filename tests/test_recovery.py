@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ttrec.bases import diag_sup_gramian, gramian_orthonormalize, legendre_basis
-from ttrec.recovery import (RecoveryConfig, RecoveryError, SampleSet,
+from ttrec.recovery import (EIG_FLOOR, RecoveryConfig, RecoveryError, SampleSet,
                             local_gramian, microstep_l2, microstep_ls,
                             microstep_r2als, microstep_rals, predict,
                             rank_adapt, recover, relative_error)
@@ -155,6 +155,15 @@ def test_microstep_rals_identity_equals_r2als():
     v2, lam2 = microstep_r2als(A, u, folds=5, seed=0)
     assert np.isclose(lam1, lam2)
     assert np.abs(v1 - v2).max() <= 1e-8
+    # a general SPD Gramian: rals is r2als on the rotated, unweighted
+    # design, bit for bit
+    R = rng.standard_normal((6, 6))
+    H = R @ R.T + 0.1 * np.eye(6)
+    s, Q = np.linalg.eigh(H)
+    W = Q / np.sqrt(np.maximum(s, EIG_FLOOR))
+    v3, lam3 = microstep_rals(A, u, H, folds=5, seed=0)
+    v4, lam4 = microstep_r2als(A @ W, u, folds=5, seed=0)
+    assert np.array_equal(v3, W @ v4) and lam3 == lam4
 
 
 def test_microstep_rals_diagonal_equals_weighted_lasso():
@@ -204,7 +213,7 @@ def test_lasso_microstep_objective_decomposition():
     A = rng.standard_normal((30, 8))
     u = rng.standard_normal(30)
     from ttrec.sparse_solver import cv_select_lambda
-    cv = cv_select_lambda(A, u, np.ones(8), folds=5, seed=0, refit=True)
+    cv = cv_select_lambda(A, u, np.ones(8), folds=5, seed=0)
     raw = lasso_solve(LassoProblem(A, u, np.ones(8), cv.chosen))
     deb = debias_on_support(A, u, raw)
 
@@ -403,6 +412,12 @@ def test_recover_rejects_empty_and_bad_config():
         RecoveryConfig(algorithm="nope")
     with pytest.raises(RecoveryError):
         RecoveryConfig(theta=1.5)
+    for bad in ({"max_sweeps": 0}, {"cv_folds": 0}, {"cv_folds": 1},
+                {"lambda_grid_points": 0}, {"lambda_grid_decades": 0.0},
+                {"lambda_grid_decades": -1.0}, {"validation_fraction": 1.2},
+                {"validation_fraction": 1.0}, {"validation_fraction": -0.1}):
+        with pytest.raises(RecoveryError, match=next(iter(bad))):
+            RecoveryConfig(**bad)
     # 11 samples leave 9 training rows: too few for 10-fold CV, fine for als
     rng = np.random.default_rng(0)
     few = SampleSet(rng.uniform(-1, 1, (11, 2)), rng.standard_normal(11))
@@ -410,6 +425,10 @@ def test_recover_rejects_empty_and_bad_config():
         with pytest.raises(RecoveryError, match="9 training samples .* 10 cross-validation"):
             recover(few, RecoveryConfig(algorithm=algorithm), legendre_basis(3))
     assert recover(few, RecoveryConfig(algorithm="als", max_sweeps=1), legendre_basis(3)).val_errors
+    held_out = SampleSet(few.points, few.values, train_idx=np.array([], int),
+                         val_idx=np.arange(11))
+    with pytest.raises(RecoveryError, match="no training samples"):
+        recover(held_out, RecoveryConfig(algorithm="als"), legendre_basis(3))
 
 
 def test_non_finite_samples_rejected():

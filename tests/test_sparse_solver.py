@@ -160,7 +160,7 @@ def test_cv_exact_recovery_of_one_sparse_target():
     truth = np.zeros(8)
     truth[3] = 2.0
     y = A @ truth
-    report = cv_select_lambda(A, y, np.ones(8), folds=10, seed=0, refit=True)
+    report = cv_select_lambda(A, y, np.ones(8), folds=10, seed=0)
     v = debias_on_support(A, y, lasso_solve(LassoProblem(A, y, np.ones(8), report.chosen)))
     assert set(np.nonzero(v)[0]) == {3}
     assert np.abs(v - truth).max() <= 1e-8
@@ -218,18 +218,6 @@ def test_cv_tie_break_prefers_largest_lambda():
     y = np.zeros(20)
     report = cv_select_lambda(A, y, np.ones(1), folds=5, seed=0)
     assert report.chosen == report.lambdas.max()
-
-
-def test_cv_numpy_fallback_matches_numba_path(monkeypatch):
-    import ttrec.sparse_solver as sp
-    rng = np.random.default_rng(12)
-    A = rng.standard_normal((40, 6))
-    y = A @ np.array([1.0, 0.0, -2.0, 0.0, 0.0, 0.5]) + 0.05 * rng.standard_normal(40)
-    with_numba = cv_select_lambda(A, y, np.ones(6), folds=5, seed=0)
-    monkeypatch.setattr(sp, "HAVE_NUMBA", False)
-    without = cv_select_lambda(A, y, np.ones(6), folds=5, seed=0)
-    assert with_numba.chosen == without.chosen
-    assert np.abs(with_numba.mean_errors - without.mean_errors).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +281,13 @@ def test_cd_gram_matches_reference_with_zero_diagonal():
     assert np.array_equal(x, x_ref) and sweeps == sweeps_ref
 
 
-@pytest.mark.parametrize("refit", [True, False])
-def test_cv_select_lambda_matches_reference(refit):
+def test_cv_select_lambda_matches_reference():
     rng = np.random.default_rng(16)
     for n, p, folds in ((60, 10, 5), (45, 20, 3)):
         A, y, _, _ = _fold_problem(rng, n, p, folds)
         omega = rng.uniform(0.5, 2.0, p)
-        report = cv_select_lambda(A, y, omega, folds=folds, seed=0, refit=refit)
-        mean_errors, chosen = reference_cv_errors(A, y, omega, folds=folds, seed=0,
-                                                  refit=refit)
+        report = cv_select_lambda(A, y, omega, folds=folds, seed=0)
+        mean_errors, chosen = reference_cv_errors(A, y, omega, folds=folds, seed=0)
         assert np.array_equal(report.mean_errors, mean_errors)
         assert report.chosen == chosen
 
@@ -324,7 +310,7 @@ def test_cv_refits_each_fold_support_once(monkeypatch):
         return debias_on_support(A_fit, y_fit, v)
 
     monkeypatch.setattr(sp, "debias_on_support", counting)
-    cv_select_lambda(A, y, omega, folds=5, seed=0, refit=True)
+    cv_select_lambda(A, y, omega, folds=5, seed=0)
     assert len(calls) == len(supports)
 
 
@@ -334,8 +320,8 @@ def test_cv_transient_memory_within_reference():
     A, y, _, _ = _fold_problem(rng, 240, 72, 10)
     omega = np.ones(72)
     peaks = []
-    for run in (lambda: reference_cv_errors(A, y, omega, refit=True),
-                lambda: cv_select_lambda(A, y, omega, refit=True)):
+    for run in (lambda: reference_cv_errors(A, y, omega),
+                lambda: cv_select_lambda(A, y, omega)):
         tracemalloc.start()
         try:
             run()

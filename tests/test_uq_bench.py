@@ -100,6 +100,16 @@ def test_solver_rejects_bad_input():
             solve_diffusion(DiffusionModel("lognormal"), huge_y, 16)
 
 
+def test_solver_source_term_broadcast_and_validation():
+    model, y = DiffusionModel("affine"), np.linspace(-1, 1, 20)
+    default = solve_diffusion(model, y, 16)
+    assert np.array_equal(solve_diffusion(model, y, 16, lambda X1, X2: 1.0), default)
+    for f in (lambda X1, X2: np.full_like(X1, np.nan), lambda X1, X2: X1[:-1],
+              lambda X1, X2: np.ones(3)):
+        with pytest.raises(BenchmarkError, match="source term"):
+            solve_diffusion(model, y, 16, f)
+
+
 def band_to_dense(ab):
     """Symmetric dense matrix from LAPACK upper band storage."""
     u, N = ab.shape[0] - 1, ab.shape[1]
