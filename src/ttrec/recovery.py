@@ -99,12 +99,19 @@ class RecoveryConfig:
             raise RecoveryError(f"unknown algorithm {self.algorithm!r}")
         if self.max_rank < 1 or self.initial_rank < 1:
             raise RecoveryError("ranks must be >= 1")
+        if self.initial_rank > self.max_rank:
+            raise RecoveryError(
+                f"initial_rank {self.initial_rank} exceeds max_rank {self.max_rank}")
         if not 0.0 < self.theta < 1.0:
             raise RecoveryError("theta must lie in (0, 1)")
         if self.buffer < 0:
             raise RecoveryError("buffer must be >= 0")
         if self.max_sweeps < 1:
             raise RecoveryError("max_sweeps must be >= 1")
+        if self.patience < 1:
+            raise RecoveryError("patience must be >= 1")
+        if not self.stop_tol >= 0.0:
+            raise RecoveryError("stop_tol must be >= 0")
         if self.cv_folds < 2:
             raise RecoveryError("cv_folds must be >= 2")
         if self.lambda_grid_points < 1:

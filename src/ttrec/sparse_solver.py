@@ -1,9 +1,16 @@
-"""Weighted LASSO by cyclic coordinate descent, with cross-validated lambda.
+"""Weighted LASSO by its exact homotopy path, with cross-validated lambda.
 
 The objective is ``||y - A v||_2^2 + lam * ||omega (*) v||_1`` (no 1/n
-factor).  Optimality is certified by the KKT conditions: for active
-coordinates ``|2 A_k^T (A v - y) + lam * omega_k * sign(v_k)| <= tol`` and
-for inactive ones ``|2 A_k^T (A v - y)| <= lam * omega_k + tol``.
+factor).  On the Gram ``G = A^T A``, ``b = A^T y`` it reads ``x^T G x -
+2 b^T x + 2 lam sum_k h_k |x_k|`` with ``h = omega / 2``, and its minimizer
+is piecewise linear in ``lam``.  The homotopy (LARS-lasso) method of
+Osborne, Presnell & Turlach (2000) and Efron, Hastie, Johnstone &
+Tibshirani (2004) follows it from ``lam_max`` down, one active-set solve per
+breakpoint, so both the final solve and every cross-validation fold get
+exact solutions and exact supports at their lambdas.  Optimality is
+certified by the KKT conditions: for active coordinates ``|2 A_k^T (A v -
+y) + lam * omega_k * sign(v_k)| <= tol`` and for inactive ones ``|2 A_k^T
+(A v - y)| <= lam * omega_k + tol``.
 """
 from __future__ import annotations
 
@@ -12,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# read by the benchmark's run stamp (bench/run.py), which records the engine;
-# coordinate descent has one engine, the numpy one in _cd_gram
+# read by the benchmark's run stamp (bench/run.py), which records the LASSO
+# engine; there is one, the numpy homotopy path in _homotopy
 HAVE_NUMBA = False
 
-MAX_SWEEPS = 10_000
-OBJ_RTOL = 1e-10
 KKT_TOL = 1e-8
 
 
@@ -58,7 +63,7 @@ def soft_threshold(x, t):
 
 
 def _kkt_from_gram(Gx, b, thresholds, x) -> float:
-    """KKT violation computed from the maintained gradient ``Gx - b``.
+    """KKT violation computed from the gradient ``Gx - b``.
 
     ``thresholds`` is lam*omega/2, so the subgradient bound is 2*thresholds.
     Supports a leading batch axis.
@@ -72,95 +77,101 @@ def _kkt_from_gram(Gx, b, thresholds, x) -> float:
     return float(viol.max())
 
 
-def _cd_gram(G, b, thresholds, x0, max_sweeps=MAX_SWEEPS,
-             obj_rtol=OBJ_RTOL, kkt_tol=None):
-    """Cyclic coordinate descent on ``x^T G x - 2 b^T x + 2 sum t_k |x_k|``.
+def _homotopy(G, b, h, lams):
+    """Exact path of ``x^T G x - 2 b^T x + 2 lam sum_k h_k |x_k|`` over ``lams``.
 
-    All arguments may carry broadcastable leading batch axes (e.g. folds,
-    or a whole lambda path at once); the coordinate sweeps run jointly
-    across the batch.  Stops at an exact fixed point, on relative objective
-    stagnation, or, when ``kkt_tol`` is given, on the KKT residual.
-    Returns (x, sweeps).
+    ``lams`` is descending.  Yields ``(S, q, w, lo, hi)``, one segment of the
+    path that holds grid points: at ``lams[lo:hi]`` the minimizer is ``w -
+    lam * q`` on the coordinates ``S`` and zero elsewhere.  On a segment
+    with signs ``s``, ``G_SS [q, w] = [h_S * s, b_S]``, so ``q`` is the path
+    direction and ``w`` the least-squares refit on ``S``.  Between grid
+    points the path moves from breakpoint to breakpoint: a coordinate joins
+    where its correlation ``c = b - G x`` reaches ``+-lam * h``, and leaves
+    where its value crosses zero.
 
-    The coordinate update ``(clip(q, -t, t) - q) / G_kk`` is the soft
-    threshold of ``-q`` in fewer array operations.  It gives the same
-    values, so iterates and sweep counts do not depend on the form; only a
-    dead-zone coordinate reads +0.0 where ``soft_threshold`` gives -0.0.
+    What keeps it exact on degenerate data: ``c`` and ``x`` are recomputed
+    from each segment's solve, never accumulated; a column whose Schur
+    complement on the support is below 1e-11 of its diagonal (a duplicate,
+    a zero column, any column once the rows run out) does not join, since
+    its correlation moves with the support's; and a coordinate leaves only
+    while it moves towards zero.  The last rule also keeps a coordinate
+    that has just left from rejoining at once: ``s_k q_k`` with it on the
+    support and the rate at which its correlation would reach the bound
+    without it have the same sign.
     """
-    G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = np.asarray(thresholds, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    p = G.shape[-1]
-    batch = np.broadcast_shapes(G.shape[:-2], b.shape[:-1], t.shape[:-1], x0.shape[:-1])
-    squeeze = batch == ()
-    if squeeze:
-        batch = (1,)
-    x = np.empty(batch + (p,))
-    x[:] = x0
-    Gx = (G @ x[..., None])[..., 0]
-    diag = np.diagonal(G, axis1=-2, axis2=-1)
-    positive = diag > 0
-    all_positive = bool(positive.all())
+    p = b.shape[0]
+    n_grid = len(lams)
+    ratio = np.abs(b) / h
+    j = int(np.argmax(ratio))
+    lam = float(ratio[j])          # x = 0 from here up
+    lo = int(np.count_nonzero(lams >= lam))
+    if lo:
+        yield np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, lo
+    if lo == n_grid:
+        return
+    S, signs = [j], [1.0 if b[j] > 0 else -1.0]
+    x = np.zeros(p)
+    active = np.zeros(p, dtype=bool)
+    active[j] = True
+    Gbh = np.column_stack((G, b, h))      # row k: G_k:, b_k, h_k
+    spanned = (1.0 - 1e-11) * np.diagonal(G)
+    inf = np.full(p, np.inf)
+    for _ in range(10 * p + 100):         # a few p steps in practice
+        Sa = np.array(S, dtype=np.intp)
+        s = np.array(signs)
+        R = Gbh[Sa]
+        R[:, -1] *= s
+        GS = R[:, :p]
+        # G_SS [Z, w, q] = [G_S:, b_S, h_S * s]
+        try:
+            Z = np.linalg.solve(GS[:, Sa], R)
+        except np.linalg.LinAlgError:   # singular: the minimum-norm solution
+            Z = np.linalg.lstsq(GS[:, Sa], R, rcond=None)[0]
+        w, q = Z[:, p], Z[:, p + 1]
+        c = b - x[Sa] @ GS
+        a = q @ GS                        # rate of change of c as lam falls
+        # a column in the span of the support (G_jj - G_jS G_SS^-1 G_Sj
+        # about 0) never has to join
+        blocked = active | (np.einsum("ij,ij->j", GS, Z[:, :p]) >= spanned)
+        # join: c - gamma*a meets +-(lam - gamma)*h
+        up, down = h - a, h + a
+        g_up = np.divide(np.maximum(lam * h - c, 0.0), up, out=inf.copy(), where=up > 0)
+        g_down = np.divide(np.maximum(lam * h + c, 0.0), down, out=inf.copy(), where=down > 0)
+        g_join = np.minimum(g_up, g_down)
+        g_join[blocked] = np.inf
+        # leave: a coordinate moving towards zero reaches it (the last entry
+        # keeps argmin defined should rounding ever empty the support)
+        sq = s * q
+        g_leave = np.full(len(S) + 1, np.inf)
+        np.divide(np.maximum(s * (w - lam * q), 0.0), -sq, out=g_leave[:-1], where=sq < 0)
+        jn = int(np.argmin(g_join))
+        k = int(np.argmin(g_leave))
+        join = g_join[jn] < g_leave[k]
+        lam_next = lam - (g_join[jn] if join else g_leave[k])
+        hi = lo + int(np.count_nonzero(lams[lo:] > lam_next))
+        if hi > lo:
+            yield Sa, q, w, lo, hi
+            lo = hi
+            if lo == n_grid:
+                return
+        x[Sa] = w - lam_next * q
+        if join:
+            S.append(jn)
+            signs.append(1.0 if g_up[jn] <= g_down[jn] else -1.0)
+            active[jn] = True
+        else:
+            left = S.pop(k)
+            signs.pop(k)
+            x[left] = 0.0
+            active[left] = False
+        lam = lam_next
+    # step budget spent (never seen): extend the last segment; the KKT
+    # certificate of lasso_solve reports the error
+    yield Sa, q, w, lo, n_grid
 
-    def by_coordinate(a):  # row k holds coordinate k of every member
-        return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
-    # the views and operands of each coordinate step, gathered once; the
-    # operands keep their own (unbroadcast) shapes, and a column-major G
-    # (see cv_select_lambda) makes its columns contiguous without a copy
-    steps = list(zip(np.moveaxis(x, -1, 0), np.moveaxis(Gx, -1, 0),
-                     by_coordinate(diag), by_coordinate(b), by_coordinate(-t),
-                     by_coordinate(t), by_coordinate(np.where(positive, diag, 1.0)),
-                     by_coordinate(positive), by_coordinate(G)))
-
-    def objective():
-        # one (batch, p) temporary at a time
-        penalty = np.abs(x)
-        penalty *= t
-        penalty = penalty.sum(-1)
-        return (x * Gx).sum(-1) - 2 * (b * x).sum(-1) + 2 * penalty
-
-    obj = objective()
-    sweep = 0
-    for sweep in range(1, max_sweeps + 1):
-        moved = False
-        for xk, Gxk, dk, bk, lo, hi, safe, pos, col in steps:
-            q = Gxk - dk * xk - bk
-            new = np.minimum(np.maximum(q, lo), hi)
-            new -= q
-            new /= safe
-            if not all_positive:
-                new = np.where(pos, new, 0.0)
-            delta = new - xk
-            if np.count_nonzero(delta):
-                moved = True
-                Gx += col * delta[..., None]
-                xk[...] = new
-        if not moved:  # exact fixed point of the coordinate map
-            break
-        if kkt_tol is not None:
-            if _kkt_from_gram(Gx, b, t, x) <= kkt_tol:
-                break
-            continue
-        new_obj = objective()
-        if np.all(np.abs(obj - new_obj) <= obj_rtol * np.maximum(np.abs(new_obj), 1.0)):
-            obj = new_obj
-            break
-        obj = new_obj
-    if squeeze:
-        return x[0], sweep
-    return x, sweep
-
-
-def _solve_path(G, b, thresholds, p):
-    """Solve a (lambdas, folds) grid of LASSO problems on shared fold Grams.
-
-    ``G``: (F, p, p); ``b``: (F, p); ``thresholds``: (L, 1, p) or
-    broadcastable.  Returns solutions of shape (L, F, p).
-    """
-    x, _ = _cd_gram(G, b, thresholds, np.zeros(p))
-    return x
+# the name bench/layers.py wraps; nothing in ttrec calls it
+_cd_gram = _homotopy
 
 
 def kkt_residual(problem: LassoProblem, v: np.ndarray) -> float:
@@ -171,119 +182,27 @@ def kkt_residual(problem: LassoProblem, v: np.ndarray) -> float:
     return _kkt_from_gram(Gx, b, problem.lam * problem.omega / 2.0, v)
 
 
-def _active_set_polish(G, b, lam_omega, x):
-    """Solve the stationarity system on the current support.
+def lasso_solve(problem: LassoProblem) -> np.ndarray:
+    """Minimizer of the weighted LASSO objective: the homotopy path from
+    ``lam_max`` stopped at ``problem.lam``.
 
-    With the correct support and signs the system ``G_SS w = b_S -
-    lam*omega_S*sign_S/2`` is consistent and its least-squares solution
-    zeroes the active KKT residuals exactly; a sign flip means the support
-    is still wrong and None is returned.
-    """
-    S = np.nonzero(x)[0]
-    if S.size == 0:
-        return None
-    s = np.sign(x[S])
-    GSS = G[np.ix_(S, S)]
-    rhs = b[S] - 0.5 * lam_omega[S] * s
-    # minimal displacement from the iterate keeps the sign orthant when the
-    # stationarity system is singular
-    delta, *_ = np.linalg.lstsq(GSS, rhs - GSS @ x[S], rcond=None)
-    w = x[S] + delta
-    if np.any(w * s < 0):
-        return None
-    out = np.zeros_like(x)
-    out[S] = w
-    return out
-
-
-def _null_space_jump(G, lam_omega, x):
-    """Exact line search along null directions of the support Gramian.
-
-    On a rank-deficient support the quadratic term is flat along
-    ``null(G_SS)`` and the objective reduces to a piecewise-linear function
-    of the step; its minimizer sits at a breakpoint where a coordinate
-    leaves the support.  Returns an improved iterate or None.
-    """
-    out = x.copy()
-    improved_any = False
-    while True:
-        S = np.nonzero(out)[0]
-        if S.size < 2:
-            break
-        e, V = np.linalg.eigh(G[np.ix_(S, S)])
-        null = V[:, e <= 1e-12 * max(e[-1], 1e-300)]
-        if null.shape[1] == 0:
-            break
-        xs = out[S]
-        w = lam_omega[S]
-        f0 = float(w @ np.abs(xs))
-        best_val, best_step = f0 * (1.0 - 1e-14), None
-        for j in range(null.shape[1]):
-            n = null[:, j]
-            mask = n != 0.0
-            if not np.any(mask):
-                continue
-            ts = -xs[mask] / n[mask]
-            vals = np.abs(xs[None, :] + ts[:, None] * n[None, :]) @ w
-            k = int(np.argmin(vals))
-            if vals[k] < best_val:
-                best_val, best_step = vals[k], ts[k] * n
-        if best_step is None:
-            break
-        xs = xs + best_step
-        xs[np.abs(xs) <= 1e-14 * np.abs(xs).max(initial=0.0)] = 0.0
-        out[S] = xs
-        improved_any = True
-    return out if improved_any else None
-
-
-def lasso_solve(problem: LassoProblem, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Coordinate-descent minimizer of the weighted LASSO objective.
-
-    Runs coordinate descent from zero in growing chunks; between chunks a
-    rank-deficient support is unstuck by an exact null-space line search
-    and the stationarity system is polished on the active set (plain
-    descent crawls in flat valleys).  Warns with the residual if the KKT
-    tolerance is still unmet after ``max_sweeps`` sweeps.  ``lam = 0``
-    falls back to least squares.
+    Certified by the KKT conditions; warns with the residual if they are
+    not met.  ``lam = 0`` falls back to least squares.
     """
     if problem.lam == 0.0:
         v, *_ = np.linalg.lstsq(problem.A, problem.y, rcond=None)
         return v
-    p = problem.A.shape[1]
     G = problem.A.T @ problem.A
     b = problem.A.T @ problem.y
-    lam_omega = problem.lam * problem.omega
+    x = np.zeros(len(b))
+    for S, q, w, _, _ in _homotopy(G, b, problem.omega / 2.0, np.array([problem.lam])):
+        x[S] = w - problem.lam * q
     # absolute 1e-8 on unit-scale data, relative guard for large magnitudes
     tol = max(KKT_TOL, 1e-12 * 2.0 * float(np.abs(b).max(initial=0.0)))
-    x = np.zeros(p)
-    used = 0
-    chunk = 50
-    res = np.inf
-    while used < max_sweeps:
-        before = x.copy()
-        x, sweeps = _cd_gram(G, b, lam_omega / 2.0, x,
-                             max_sweeps=min(chunk, max_sweeps - used), kkt_tol=tol)
-        used += sweeps
-        res = kkt_residual(problem, x)
-        if res <= tol:
-            return x
-        jumped = _null_space_jump(G, lam_omega, x)
-        if jumped is not None:
-            x = jumped
-        polished = _active_set_polish(G, b, lam_omega, x)
-        if polished is not None:
-            res_p = kkt_residual(problem, polished)
-            if res_p <= tol:
-                return polished
-            if res_p < res:
-                x, res = polished, res_p
-        if jumped is None and np.array_equal(before, x):
-            break  # stationary for coordinate descent; no further progress
-        chunk = min(2 * chunk, 2000)
-    warnings.warn(
-        f"lasso_solve: KKT residual {res:.3e} after {used} sweeps",
-        ConvergenceWarning)
+    res = kkt_residual(problem, x)
+    if res > tol:
+        warnings.warn(f"lasso_solve: KKT residual {res:.3e} above {tol:.1e}",
+                      ConvergenceWarning)
     return x
 
 
@@ -344,6 +263,24 @@ def _held_out_error(A, y, v) -> float:
     return (r @ r) / len(y)
 
 
+def _solve_path(G, b, h, lams, A_hold, y_hold) -> np.ndarray:
+    """Held-out error at each grid lambda of one CV fold.
+
+    Runs the exact path on the fold's Gram ``(G, b)`` and scores the
+    least-squares refit of each support it visits on the held-out rows,
+    once per distinct support.
+    """
+    errors = np.empty(len(lams))
+    scored = {}  # support -> held-out error of its refit
+    for S, _, w, lo, hi in _homotopy(G, b, h, lams):
+        key = np.sort(S).tobytes()
+        err = scored.get(key)
+        if err is None:
+            err = scored[key] = _held_out_error(A_hold[:, S], y_hold, w)
+        errors[lo:hi] = err
+    return errors
+
+
 def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
                      decades: float = 4.0, points: int = 25) -> CvReport:
     """Pick the regularization strength by k-fold cross-validation.
@@ -352,47 +289,24 @@ def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
     design rows already carry sqrt-weights).  The held-out error is always
     that of the least-squares refit on each path solution's support, so
     lambda purely selects the sparsity pattern.  Among lambdas tying at
-    the minimum, the largest (sparsest model) wins.  The refit depends on
-    the support alone, so each distinct (fold, support) pair is refitted
-    and scored once and its held-out error reused by every lambda that
-    selects it.
+    the minimum, the largest (sparsest model) wins.  The refit is the
+    ``w`` of the path segment that holds the support, so each distinct
+    (fold, support) pair is refitted and scored once and its held-out
+    error reused by every lambda that selects it.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    n, p = A.shape
+    n = A.shape[0]
     lams = lambda_grid(A, y, omega, decades, points)
-    idx = fold_indices(n, folds, seed)
-    masks = []
-    for hold in idx:
-        mask = np.ones(n, dtype=bool)
-        mask[hold] = False
-        masks.append(mask)
-    # fold Grams stored column-major, so the descent reads each column
-    # G[:, :, k] as one contiguous block without copying G
-    G = np.moveaxis(np.empty((p, folds, p)), 0, -1)
-    b = np.empty((folds, p))
-    for f, m in enumerate(masks):
-        G[f] = A[m].T @ A[m]
-        b[f] = A[m].T @ y[m]
-    errors = np.zeros((len(lams), folds))
-    if np.all(lams == 0.0):
-        x = np.stack([np.linalg.lstsq(A[m], y[m], rcond=None)[0] for m in masks])[None]
-        x = np.broadcast_to(x, (len(lams), folds, p))
-    else:
-        # the whole path and all folds as one batched descent
-        thresholds = lams[:, None, None] * omega / 2.0
-        x = _solve_path(G, b, thresholds, p)
-    supports = x != 0
-    for f, (hold, m) in enumerate(zip(idx, masks)):
-        A_fit, y_fit, A_hold, y_hold = A[m], y[m], A[hold], y[hold]
-        refits = {}  # support -> held-out error of its refit
-        for i in range(len(lams)):
-            support = supports[i, f].tobytes()
-            if support not in refits:
-                refits[support] = _held_out_error(
-                    A_hold, y_hold, debias_on_support(A_fit, y_fit, x[i, f]))
-            errors[i, f] = refits[support]
+    h = omega / 2.0
+    errors = np.empty((len(lams), folds))
+    for f, hold in enumerate(fold_indices(n, folds, seed)):
+        fit = np.ones(n, dtype=bool)
+        fit[hold] = False
+        A_fit, y_fit = A[fit], y[fit]
+        errors[:, f] = _solve_path(A_fit.T @ A_fit, A_fit.T @ y_fit, h, lams,
+                                   A[hold], y[hold])
     mean_errors = errors.mean(axis=1)
     best = np.nonzero(mean_errors <= mean_errors.min())[0]
     chosen = float(lams[best[0]])  # grid is descending: first hit = largest

@@ -1,13 +1,13 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the code paths they check: the LASSO oracle is an
-accelerated proximal-gradient method (the solver under test is coordinate
-descent), tensor ranks come from dense matricizations, the Poisson value
-from its double sine series.  The exceptions are the reference coordinate
-descent and CV error loop below, the straightforward versions of the
-optimized solver code kept to pin it to equal results, and the reference
-diffusion solve, the sparse assembly and direct solve that the banded
-Cholesky solver replaced.
+accelerated proximal-gradient method (the solver under test is a homotopy
+path), tensor ranks come from dense matricizations, the Poisson value
+from its double sine series.  The reference coordinate descent and CV
+error loop below are the solver the path replaced, kept as a second,
+independent LASSO engine whose cross-validated choices the path must
+reproduce; the reference diffusion solve is the sparse assembly and direct
+solve that the banded Cholesky solver replaced.
 """
 import numpy as np
 import scipy.sparse as sparse
@@ -115,8 +115,7 @@ def monte_carlo_local_variation(d1, d2, r, n_draws, rng):
 def reference_cd_gram(G, b, thresholds, x0, max_sweeps=10_000, obj_rtol=1e-10,
                       kkt_tol=None):
     """Batched cyclic coordinate descent, one plain array expression per
-    step; the optimized ``sparse_solver._cd_gram`` must return equal iterates
-    and sweep counts."""
+    step.  Returns (x, sweeps)."""
     from ttrec.sparse_solver import _kkt_from_gram, soft_threshold
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -169,9 +168,9 @@ def reference_cd_gram(G, b, thresholds, x0, max_sweeps=10_000, obj_rtol=1e-10,
 
 
 def reference_cv_errors(A, y, omega, folds=10, seed=0):
-    """Mean held-out error per lambda and the chosen lambda of
-    ``cv_select_lambda``, refitting every (lambda, fold) member on its own
-    (no memo) on top of ``reference_cd_gram``."""
+    """Mean held-out error per lambda, the chosen lambda and the (lambda,
+    fold, coordinate) supports of cross-validation by ``reference_cd_gram``,
+    refitting every (lambda, fold) member on its own (no memo)."""
     from ttrec.sparse_solver import debias_on_support, fold_indices, lambda_grid
     A = np.asarray(A, float)
     y = np.asarray(y, float)
@@ -194,7 +193,7 @@ def reference_cv_errors(A, y, omega, folds=10, seed=0):
             errors[i, f] = (r @ r) / len(hold)
     mean_errors = errors.mean(axis=1)
     best = np.nonzero(mean_errors <= mean_errors.min())[0]
-    return mean_errors, float(lams[best[0]])
+    return mean_errors, float(lams[best[0]]), x != 0
 
 
 def reference_solve_diffusion(model_or_field, y=None, n=64, f=None):

@@ -431,6 +431,15 @@ def test_recover_rejects_empty_and_bad_config():
         recover(held_out, RecoveryConfig(algorithm="als"), legendre_basis(3))
 
 
+def test_config_rejects_patience_stop_tol_and_initial_rank_above_max():
+    # patience <= 0 would stop after one sweep without saying so
+    for bad in ({"patience": 0}, {"patience": -2}, {"stop_tol": -1e-3},
+                {"stop_tol": float("nan")}, {"initial_rank": 3, "max_rank": 2}):
+        with pytest.raises(RecoveryError, match=next(iter(bad))):
+            RecoveryConfig(**bad)
+    RecoveryConfig(patience=1, stop_tol=0.0, initial_rank=2, max_rank=2)
+
+
 def test_non_finite_samples_rejected():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1, 1, (40, 2))

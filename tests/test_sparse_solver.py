@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ttrec.bases import legendre_basis
-from ttrec.sparse_solver import (ConvergenceWarning, CvReport, LassoProblem,
-                                 SparseSolverError, cv_select_lambda,
-                                 debias_on_support, fold_indices, kkt_residual,
-                                 lambda_grid, lasso_solve, soft_threshold)
-from ttrec.sparse_solver import _cd_gram
+from ttrec.sparse_solver import (KKT_TOL, ConvergenceWarning, CvReport,
+                                 LassoProblem, SparseSolverError,
+                                 cv_select_lambda, debias_on_support,
+                                 fold_indices, kkt_residual, lambda_grid,
+                                 lasso_solve, soft_threshold)
+from ttrec.sparse_solver import _homotopy, _kkt_from_gram
 
 from oracles import (lasso_objective, prox_gradient_lasso, reference_cd_gram,
                      reference_cv_errors)
@@ -79,20 +80,18 @@ def test_kkt_residuals_random_problems():
         assert kkt_residual(prob, v) <= 1e-8
 
 
-def test_objective_nonincreasing_across_sweeps():
+def test_path_objective_no_worse_than_descent():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((15, 8))
     y = rng.standard_normal(15)
     omega = np.ones(8)
-    lam = 0.5
     G, b = A.T @ A, A.T @ y
-    x = np.zeros(8)
-    prev = lasso_objective(A, y, omega, lam, x)
-    for _ in range(12):
-        x, _ = _cd_gram(G, b, lam * omega / 2.0, x, max_sweeps=1, obj_rtol=0.0)
-        cur = lasso_objective(A, y, omega, lam, x)
-        assert cur <= prev + 1e-12
-        prev = cur
+    lams = lambda_grid(A, y, omega)
+    X = _path(G, b, omega / 2.0, lams)
+    X_cd, _ = reference_cd_gram(G, b, lams[:, None] * omega / 2.0, np.zeros(8))
+    for lam, x, x_cd in zip(lams, X, X_cd):
+        ref = lasso_objective(A, y, omega, lam, x_cd)
+        assert lasso_objective(A, y, omega, lam, x) <= ref + 1e-12 * max(1.0, ref)
 
 
 def test_homogeneity():
@@ -106,14 +105,24 @@ def test_homogeneity():
     assert np.abs(v2 - c * v1).max() <= 1e-8 * max(1.0, np.abs(v1).max())
 
 
-def test_nonconvergence_warns_with_residual():
+def test_nonconvergence_warns_with_residual(monkeypatch):
+    import ttrec.sparse_solver as sp
     rng = np.random.default_rng(7)
     A = rng.standard_normal((10, 25))
     y = rng.standard_normal(10)
     prob = LassoProblem(A, y, np.ones(25), 1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = lasso_solve(prob)     # underdetermined, small lambda: certified
+    assert kkt_residual(prob, v) <= KKT_TOL
+
+    def wrong_path(G, b, h, lams):
+        yield np.array([0]), np.zeros(1), np.ones(1), 0, len(lams)
+
+    monkeypatch.setattr(sp, "_homotopy", wrong_path)
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always")
-        lasso_solve(prob, max_sweeps=1)
+        lasso_solve(prob)
     assert len(wlist) == 1
     assert issubclass(wlist[0].category, ConvergenceWarning)
     assert "residual" in str(wlist[0].message)
@@ -221,7 +230,15 @@ def test_cv_tie_break_prefers_largest_lambda():
 
 
 # ---------------------------------------------------------------------------
-# the optimized descent and CV selection against their reference versions
+# the homotopy path against its contracts and the reference descent
+
+
+def _path(G, b, h, lams):
+    """The path's solutions at every grid lambda, shape (L, p)."""
+    X = np.zeros((len(lams), len(b)))
+    for S, q, w, lo, hi in _homotopy(G, b, h, lams):
+        X[lo:hi, S] = w - lams[lo:hi, None] * q
+    return X
 
 
 def _fold_problem(rng, n, p, folds):
@@ -237,81 +254,134 @@ def _fold_problem(rng, n, p, folds):
     return A, y, G, b
 
 
-def test_cd_gram_matches_reference_batched():
+def test_path_kkt_at_every_grid_lambda():
     rng = np.random.default_rng(13)
-    A, y, G, b = _fold_problem(rng, 60, 9, 5)
-    lams = lambda_grid(A, y, np.ones(9))
-    omega = rng.uniform(0.5, 2.0, 9)
-    t = lams[:, None, None] * omega / 2.0           # (L, 1, p) against (F, p, p)
-    x, sweeps = _cd_gram(G, b, t, np.zeros(9))
-    x_ref, sweeps_ref = reference_cd_gram(G, b, t, np.zeros(9))
-    assert x.shape == (len(lams), 5, 9)
-    assert np.array_equal(x, x_ref) and sweeps == sweeps_ref
-    # the column-major Gram layout cv_select_lambda builds
-    Gc = np.moveaxis(np.ascontiguousarray(np.moveaxis(G, -1, 0)), 0, -1)
-    x_c, sweeps_c = _cd_gram(Gc, b, t, np.zeros(9))
-    assert np.array_equal(x_c, x_ref) and sweeps_c == sweeps_ref
+    for n, p in ((60, 9), (30, 40)):       # fold rows above and below p
+        A, y, G, b = _fold_problem(rng, n, p, 5)
+        omega = rng.uniform(0.5, 2.0, p)
+        lams = lambda_grid(A, y, omega)
+        for Gf, bf in zip(G, b):
+            X = _path(Gf, bf, omega / 2.0, lams)
+            tol = 1e-12 * max(1.0, np.abs(bf).max())
+            for lam, x in zip(lams, X):
+                assert _kkt_from_gram(Gf @ x, bf, lam * omega / 2.0, x) <= tol
 
 
-def test_cd_gram_matches_reference_unbatched():
+def test_path_matches_prox_gradient_oracle():
     rng = np.random.default_rng(14)
     A = rng.standard_normal((20, 12))
     y = rng.standard_normal(20)
-    G, b = A.T @ A, A.T @ y
-    t = 0.3 * rng.uniform(0.5, 2.0, 12)
-    x0 = rng.standard_normal(12)
-    for kwargs in ({}, {"kkt_tol": 1e-8, "max_sweeps": 50}, {"max_sweeps": 3, "obj_rtol": 0.0}):
-        x, sweeps = _cd_gram(G, b, t, x0, **kwargs)
-        x_ref, sweeps_ref = reference_cd_gram(G, b, t, x0, **kwargs)
-        assert x.shape == (12,)
-        assert np.array_equal(x, x_ref) and sweeps == sweeps_ref
+    omega = rng.uniform(0.5, 2.0, 12)
+    lams = np.array([3.0, 1.0, 0.3, 0.05])
+    X = _path(A.T @ A, A.T @ y, omega / 2.0, lams)
+    for lam, x in zip(lams, X):
+        ref = prox_gradient_lasso(A, y, omega, lam)
+        assert np.abs(x - ref).max() <= 1e-6
+        assert (lasso_objective(A, y, omega, lam, x)
+                <= lasso_objective(A, y, omega, lam, ref) + 1e-10)
 
 
-def test_cd_gram_matches_reference_with_zero_diagonal():
+def test_path_with_zero_and_duplicate_columns():
     rng = np.random.default_rng(15)
-    A = rng.standard_normal((15, 6))
+    A = rng.standard_normal((15, 7))
     A[:, 2] = 0.0
-    y = rng.standard_normal(15)
+    A[:, 4] = A[:, 1]           # duplicate with equal weight: a tie
+    A[:, 5] = -2.0 * A[:, 0]    # scaled duplicate
+    y = A[:, :2] @ np.array([1.0, -1.5]) + 0.1 * rng.standard_normal(15)
+    omega = np.ones(7)
     G, b = A.T @ A, A.T @ y
-    x0 = np.full(6, 0.5)   # the dead coordinate must be zeroed
-    t = np.array([[0.05], [0.5]]) * np.ones(6)
-    x, sweeps = _cd_gram(G, b, t, x0)
-    x_ref, sweeps_ref = reference_cd_gram(G, b, t, x0)
-    assert np.all(x[:, 2] == 0.0)
-    assert np.array_equal(x, x_ref) and sweeps == sweeps_ref
+    lams = lambda_grid(A, y, omega)
+    X = _path(G, b, omega / 2.0, lams)
+    assert np.all(X[:, 2] == 0.0)
+    for lam, x in zip(lams, X):
+        assert _kkt_from_gram(G @ x, b, lam * omega / 2.0, x) <= 1e-12 * np.abs(b).max()
+        # a duplicate column never joins next to its twin
+        assert not (x[1] and x[4]) and not (x[0] and x[5])
 
 
 def test_cv_select_lambda_matches_reference():
     rng = np.random.default_rng(16)
     for n, p, folds in ((60, 10, 5), (45, 20, 3)):
-        A, y, _, _ = _fold_problem(rng, n, p, folds)
+        A, y, G, b = _fold_problem(rng, n, p, folds)
         omega = rng.uniform(0.5, 2.0, p)
         report = cv_select_lambda(A, y, omega, folds=folds, seed=0)
-        mean_errors, chosen = reference_cv_errors(A, y, omega, folds=folds, seed=0)
-        assert np.array_equal(report.mean_errors, mean_errors)
+        mean_errors, chosen, supports = reference_cv_errors(A, y, omega, folds=folds, seed=0)
         assert report.chosen == chosen
+        # the descent stops early and may leave a coordinate of about 1e-5
+        # in or out, so errors are compared where every fold's support agrees
+        path = np.stack([_path(Gf, bf, omega / 2.0, report.lambdas) for Gf, bf in zip(G, b)],
+                        axis=1)
+        agree = np.all((path != 0) == supports, axis=(1, 2))
+        assert agree.sum() >= len(agree) - 2
+        assert np.allclose(report.mean_errors[agree], mean_errors[agree], rtol=1e-9, atol=0.0)
 
 
 def test_cv_refits_each_fold_support_once(monkeypatch):
     import ttrec.sparse_solver as sp
-    rng = np.random.default_rng(17)
-    A, y, G, b = _fold_problem(rng, 60, 10, 5)
-    omega = np.ones(10)
-    lams = lambda_grid(A, y, omega)
-    x, _ = reference_cd_gram(G, b, lams[:, None, None] * omega / 2.0, np.zeros(10))
-    supports = {(f, (x[i, f] != 0).tobytes()) for i in range(len(lams)) for f in range(5)}
-    # the path has empty supports (largest lambdas) and repeated ones
-    assert any(not np.any(x[i, f]) for i in range(len(lams)) for f in range(5))
-    assert len(supports) < x.shape[0] * x.shape[1]
+    held_out_error = sp._held_out_error
     calls = []
 
-    def counting(A_fit, y_fit, v):
+    def counting(A_hold, y_hold, v):
         calls.append(1)
-        return debias_on_support(A_fit, y_fit, v)
+        return held_out_error(A_hold, y_hold, v)
 
-    monkeypatch.setattr(sp, "debias_on_support", counting)
-    cv_select_lambda(A, y, omega, folds=5, seed=0)
-    assert len(calls) == len(supports)
+    monkeypatch.setattr(sp, "_held_out_error", counting)
+    revisits = 0
+    for seed, n, p in ((17, 60, 10), (0, 30, 20)):
+        A, y, G, b = _fold_problem(np.random.default_rng(seed), n, p, 5)
+        omega = np.ones(p)
+        lams = lambda_grid(A, y, omega)
+        supports = set()
+        for f, (hold, Gf, bf) in enumerate(zip(fold_indices(n, 5, 0), G, b)):
+            fit = np.isin(np.arange(n), hold, invert=True)
+            segments = list(_homotopy(Gf, bf, omega / 2.0, lams))
+            for S, _, w, _, _ in segments:
+                # each segment's w is the least-squares refit on its support
+                if S.size:
+                    ref = np.linalg.lstsq(A[fit][:, S], y[fit], rcond=None)[0]
+                    assert np.abs(w - ref).max() <= 1e-10 * np.abs(ref).max()
+            keys = {np.sort(S).tobytes() for S, *_ in segments}
+            revisits += len(segments) - len(keys)
+            supports |= {(f, key) for key in keys}
+        # the path starts from the empty support at the largest lambdas
+        assert (0, b"") in supports
+        calls.clear()
+        cv_select_lambda(A, y, omega, folds=5, seed=0)
+        assert len(calls) == len(supports)
+    # some path leaves a support and later returns to it
+    assert revisits > 0
+
+
+def test_path_stress_degenerate_problems():
+    """Criterion-5-style problems with n < p, duplicated and zero columns:
+    every solve is certified and no linear-algebra error escapes."""
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for i in range(2000):
+        n, p = int(rng.integers(5, 40)), int(rng.integers(2, 20))
+        A = rng.standard_normal((n, p))
+        omega = rng.uniform(0.5, 3.0, p)
+        kind = i % 4
+        if kind == 1 and p >= 3:      # scaled duplicates
+            k = int(rng.integers(1, p // 2 + 1))
+            dst = rng.choice(p, k, replace=False)
+            A[:, dst] = A[:, rng.integers(0, p, k)] * rng.choice([1.0, -1.0, 2.0], k)
+        elif kind == 2:               # zero columns
+            A[:, rng.choice(p, max(1, p // 4), replace=False)] = 0.0
+        elif kind == 3:               # an exact duplicate with equal weight
+            A[:, 1] = A[:, 0]
+            omega[1] = omega[0]
+        y = rng.standard_normal(n)
+        prob = LassoProblem(A, y, omega, 10.0 ** rng.uniform(-3, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            v = lasso_solve(prob)
+        res = kkt_residual(prob, v)
+        assert res <= max(KKT_TOL, 1e-12 * 2.0 * np.abs(A.T @ y).max())
+        worst = max(worst, res)
+        if i % 10 == 0:
+            cv_select_lambda(A, y, omega, folds=4, seed=i)
+    assert worst <= 1e-8
 
 
 def test_cv_transient_memory_within_reference():
