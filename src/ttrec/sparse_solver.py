@@ -78,16 +78,19 @@ def _kkt_from_gram(Gx, b, thresholds, x) -> float:
 
 
 def _homotopy(G, b, h, lams):
-    """Exact path of ``x^T G x - 2 b^T x + 2 lam sum_k h_k |x_k|`` over ``lams``.
+    """Exact paths of ``x^T G_f x - 2 b_f^T x + 2 lam sum_k h_k |x_k|`` over ``lams``.
 
-    ``lams`` is descending.  Yields ``(S, q, w, lo, hi)``, one segment of the
-    path that holds grid points: at ``lams[lo:hi]`` the minimizer is ``w -
-    lam * q`` on the coordinates ``S`` and zero elsewhere.  On a segment
-    with signs ``s``, ``G_SS [q, w] = [h_S * s, b_S]``, so ``q`` is the path
-    direction and ``w`` the least-squares refit on ``S``.  Between grid
-    points the path moves from breakpoint to breakpoint: a coordinate joins
-    where its correlation ``c = b - G x`` reaches ``+-lam * h``, and leaves
-    where its value crosses zero.
+    ``G`` is (F, p, p), ``b`` (F, p) and ``lams`` descending.  Yields
+    ``(f, S, q, w, lo, hi)``, one segment of problem ``f``'s path that holds
+    grid points: at ``lams[lo:hi]`` the minimizer is ``w - lam * q`` on the
+    coordinates ``S`` and zero elsewhere.  On a segment with signs ``s``,
+    ``G_SS [q, w] = [h_S * s, b_S]``, so ``q`` is the path direction and
+    ``w`` the least-squares refit on ``S``.  Between grid points a path
+    moves from breakpoint to breakpoint: a coordinate joins where its
+    correlation ``c = b - G x`` reaches ``+-lam * h``, and leaves where its
+    value crosses zero.  The F paths advance one breakpoint each per
+    iteration, so the array operations of a step are shared; a shorter
+    support is padded with identity rows.
 
     What keeps it exact on degenerate data: ``c`` and ``x`` are recomputed
     from each segment's solve, never accumulated; a column whose Schur
@@ -99,75 +102,116 @@ def _homotopy(G, b, h, lams):
     support and the rate at which its correlation would reach the bound
     without it have the same sign.
     """
-    p = b.shape[0]
+    F, p = b.shape
     n_grid = len(lams)
     ratio = np.abs(b) / h
-    j = int(np.argmax(ratio))
-    lam = float(ratio[j])          # x = 0 from here up
-    lo = int(np.count_nonzero(lams >= lam))
-    if lo:
-        yield np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, lo
-    if lo == n_grid:
-        return
-    S, signs = [j], [1.0 if b[j] > 0 else -1.0]
-    x = np.zeros(p)
-    active = np.zeros(p, dtype=bool)
-    active[j] = True
-    Gbh = np.column_stack((G, b, h))      # row k: G_k:, b_k, h_k
-    spanned = (1.0 - 1e-11) * np.diagonal(G)
-    inf = np.full(p, np.inf)
-    for _ in range(10 * p + 100):         # a few p steps in practice
-        Sa = np.array(S, dtype=np.intp)
-        s = np.array(signs)
-        R = Gbh[Sa]
-        R[:, -1] *= s
-        GS = R[:, :p]
-        # G_SS [Z, w, q] = [G_S:, b_S, h_S * s]
-        try:
-            Z = np.linalg.solve(GS[:, Sa], R)
-        except np.linalg.LinAlgError:   # singular: the minimum-norm solution
-            Z = np.linalg.lstsq(GS[:, Sa], R, rcond=None)[0]
-        w, q = Z[:, p], Z[:, p + 1]
-        c = b - x[Sa] @ GS
-        a = q @ GS                        # rate of change of c as lam falls
-        # a column in the span of the support (G_jj - G_jS G_SS^-1 G_Sj
-        # about 0) never has to join
-        blocked = active | (np.einsum("ij,ij->j", GS, Z[:, :p]) >= spanned)
+    first = ratio.argmax(1)
+    lam = ratio[np.arange(F), first]      # x = 0 from here up
+    lo = np.count_nonzero(lams >= lam[:, None], axis=1)
+    for f in np.nonzero(lo)[0]:
+        yield f, np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, lo[f]
+    S = [[j] for j in first.tolist()]
+    signs = [[1.0 if b[f, j] > 0 else -1.0] for f, j in enumerate(first)]
+    xq = np.zeros((F, p, 2))              # each problem's x and path direction q
+    active = np.zeros((F, p), dtype=bool)
+    active[np.arange(F), first] = True
+    grid = np.arange(n_grid)
+    live = [f for f in range(F) if lo[f] < n_grid]
+    for _ in range(10 * p + 100):         # a few p steps per path in practice
+        if not live:
+            return
+        fl = np.array(live)
+        rows = np.arange(len(live))
+        sizes = [len(S[f]) for f in live]
+        k_max = max(sizes)
+        Sa = np.array([S[f] + [0] * (k_max - len(S[f])) for f in live], dtype=np.intp)
+        s = np.array([signs[f] + [0.0] * (k_max - len(S[f])) for f in live])
+        pad = s == 0.0
+        GSS = G[fl[:, None, None], Sa[:, :, None], Sa[:, None, :]]
+        rhs = np.stack((b[fl[:, None], Sa], h[Sa] * s), axis=2)
+        if k_max > min(sizes):
+            GSS[pad[:, None, :] | pad[:, :, None]] = 0.0
+            m, k = np.nonzero(pad)
+            GSS[m, k, k] = 1.0
+            rhs[pad] = 0.0
+        # G_SS [w, q] = [b_S, h_S * s]
+        wq = _solve(GSS, rhs)
+        w, q = wq[:, :, 0], wq[:, :, 1]
+        xq[fl, :, 1] = 0.0
+        xq[fl.repeat(sizes), Sa[~pad], 1] = q[~pad]
+        Gxq = np.matmul(G, xq)[fl]        # all F: no copy of the Grams
+        c = b[fl] - Gxq[:, :, 0]
+        a = Gxq[:, :, 1]                  # rate of change of c as lam falls
         # join: c - gamma*a meets +-(lam - gamma)*h
+        lam_f = lam[fl]
         up, down = h - a, h + a
-        g_up = np.divide(np.maximum(lam * h - c, 0.0), up, out=inf.copy(), where=up > 0)
-        g_down = np.divide(np.maximum(lam * h + c, 0.0), down, out=inf.copy(), where=down > 0)
+        g_up = np.divide(np.maximum(lam_f[:, None] * h - c, 0.0), up,
+                         out=np.full(up.shape, np.inf), where=up > 0)
+        g_down = np.divide(np.maximum(lam_f[:, None] * h + c, 0.0), down,
+                           out=np.full(up.shape, np.inf), where=down > 0)
         g_join = np.minimum(g_up, g_down)
-        g_join[blocked] = np.inf
-        # leave: a coordinate moving towards zero reaches it (the last entry
-        # keeps argmin defined should rounding ever empty the support)
+        g_join[active[fl]] = np.inf
+        # leave: a coordinate moving towards zero reaches it (the last column
+        # keeps argmin defined should rounding ever empty a support)
         sq = s * q
-        g_leave = np.full(len(S) + 1, np.inf)
-        np.divide(np.maximum(s * (w - lam * q), 0.0), -sq, out=g_leave[:-1], where=sq < 0)
-        jn = int(np.argmin(g_join))
-        k = int(np.argmin(g_leave))
-        join = g_join[jn] < g_leave[k]
-        lam_next = lam - (g_join[jn] if join else g_leave[k])
-        hi = lo + int(np.count_nonzero(lams[lo:] > lam_next))
-        if hi > lo:
-            yield Sa, q, w, lo, hi
-            lo = hi
-            if lo == n_grid:
-                return
-        x[Sa] = w - lam_next * q
-        if join:
-            S.append(jn)
-            signs.append(1.0 if g_up[jn] <= g_down[jn] else -1.0)
-            active[jn] = True
-        else:
-            left = S.pop(k)
-            signs.pop(k)
-            x[left] = 0.0
-            active[left] = False
-        lam = lam_next
-    # step budget spent (never seen): extend the last segment; the KKT
+        g_leave = np.full((len(live), k_max + 1), np.inf)
+        np.divide(np.maximum(s * (w - lam_f[:, None] * q), 0.0), -sq,
+                  out=g_leave[:, :-1], where=sq < 0)
+        kl = g_leave.argmin(1)
+        while True:
+            jn = g_join.argmin(1)
+            join = g_join[rows, jn] < g_leave[rows, kl]
+            # a column in the span of its support (G_jj - G_jS G_SS^-1 G_Sj
+            # about 0) never has to join: its correlation moves with the
+            # support's
+            col = G[fl[:, None], Sa, jn[:, None]] * ~pad
+            Gjj = G[fl, jn, jn]
+            spanned = join & (Gjj - (col * _solve(GSS, col[:, :, None])[:, :, 0]).sum(1)
+                              <= 1e-11 * Gjj)
+            if not spanned.any():
+                break
+            g_join[rows[spanned], jn[spanned]] = np.inf
+        del GSS   # the next step's gather would otherwise hold two of them
+        lam_next = lam_f - np.where(join, g_join[rows, jn], g_leave[rows, kl])
+        lo_f = lo[fl]
+        hi_f = lo_f + np.count_nonzero((lams > lam_next[:, None]) & (grid >= lo_f[:, None]),
+                                       axis=1)
+        # a path with no breakpoint left (lam_next = -inf) is done
+        x_next = w - np.maximum(lam_next, 0.0)[:, None] * q
+        plus = g_up[rows, jn] <= g_down[rows, jn]
+        stepped, live = live, []
+        for i, f in enumerate(stepped):
+            k = sizes[i]
+            if hi_f[i] > lo_f[i]:
+                yield f, Sa[i, :k], q[i, :k], w[i, :k], lo_f[i], hi_f[i]
+                lo[f] = hi_f[i]
+                if lo[f] == n_grid:
+                    continue
+            xq[f, S[f], 0] = x_next[i, :k]
+            if join[i]:
+                S[f].append(jn[i])
+                signs[f].append(1.0 if plus[i] else -1.0)
+                active[f, jn[i]] = True
+            else:
+                left = S[f].pop(kl[i])
+                signs[f].pop(kl[i])
+                xq[f, left, 0] = 0.0
+                active[f, left] = False
+            lam[f] = lam_next[i]
+            live.append(f)
+    # step budget spent (never seen): extend the last segments; the KKT
     # certificate of lasso_solve reports the error
-    yield Sa, q, w, lo, n_grid
+    for i, f in enumerate(stepped):
+        if f in live:
+            yield f, Sa[i, :sizes[i]], q[i, :sizes[i]], w[i, :sizes[i]], lo[f], n_grid
+
+
+def _solve(M, rhs):
+    """Batched ``M^-1 rhs``; minimum-norm solutions if a matrix is singular."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return np.stack([np.linalg.lstsq(Mf, r, rcond=None)[0] for Mf, r in zip(M, rhs)])
 
 
 # the name bench/layers.py wraps; nothing in ttrec calls it
@@ -195,7 +239,8 @@ def lasso_solve(problem: LassoProblem) -> np.ndarray:
     G = problem.A.T @ problem.A
     b = problem.A.T @ problem.y
     x = np.zeros(len(b))
-    for S, q, w, _, _ in _homotopy(G, b, problem.omega / 2.0, np.array([problem.lam])):
+    for _, S, q, w, _, _ in _homotopy(G[None], b[None], problem.omega / 2.0,
+                                      np.array([problem.lam])):
         x[S] = w - problem.lam * q
     # absolute 1e-8 on unit-scale data, relative guard for large magnitudes
     tol = max(KKT_TOL, 1e-12 * 2.0 * float(np.abs(b).max(initial=0.0)))
@@ -263,22 +308,38 @@ def _held_out_error(A, y, v) -> float:
     return (r @ r) / len(y)
 
 
-def _solve_path(G, b, h, lams, A_hold, y_hold) -> np.ndarray:
-    """Held-out error at each grid lambda of one CV fold.
+def _solve_path(G, b, h, lams, A, y, holds) -> np.ndarray:
+    """Held-out error at each (grid lambda, fold) of cross-validation.
 
-    Runs the exact path on the fold's Gram ``(G, b)`` and scores the
-    least-squares refit of each support it visits on the held-out rows,
-    once per distinct support.
+    Runs the exact paths on the fold Grams ``(G, b)`` and scores the
+    least-squares refit of each support that fold ``f``'s path visits on
+    its held-out rows ``holds[f]`` of ``(A, y)``, once per distinct (fold,
+    support).
     """
-    errors = np.empty(len(lams))
-    scored = {}  # support -> held-out error of its refit
-    for S, _, w, lo, hi in _homotopy(G, b, h, lams):
-        key = np.sort(S).tobytes()
+    errors = np.empty((len(lams), len(holds)))
+    scored = {}  # (fold, support) -> held-out error of its refit
+    for f, S, _, w, lo, hi in _homotopy(G, b, h, lams):
+        key = (f, np.sort(S).tobytes())
         err = scored.get(key)
         if err is None:
-            err = scored[key] = _held_out_error(A_hold[:, S], y_hold, w)
-        errors[lo:hi] = err
+            hold = holds[f]
+            err = scored[key] = _held_out_error(A[np.ix_(hold, S)], y[hold], w)
+        errors[lo:hi, f] = err
     return errors
+
+
+def _fold_grams(A, y, holds):
+    """The Gram ``A_fit^T A_fit`` and ``A_fit^T y_fit`` of each fold's
+    training rows, shapes (F, p, p) and (F, p)."""
+    G = np.empty((len(holds), A.shape[1], A.shape[1]))
+    b = np.empty((len(holds), A.shape[1]))
+    for f, hold in enumerate(holds):
+        fit = np.ones(len(y), dtype=bool)
+        fit[hold] = False
+        A_fit = A[fit]
+        np.matmul(A_fit.T, A_fit, out=G[f])
+        np.matmul(A_fit.T, y[fit], out=b[f])
+    return G, b
 
 
 def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
@@ -297,16 +358,10 @@ def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    n = A.shape[0]
     lams = lambda_grid(A, y, omega, decades, points)
-    h = omega / 2.0
-    errors = np.empty((len(lams), folds))
-    for f, hold in enumerate(fold_indices(n, folds, seed)):
-        fit = np.ones(n, dtype=bool)
-        fit[hold] = False
-        A_fit, y_fit = A[fit], y[fit]
-        errors[:, f] = _solve_path(A_fit.T @ A_fit, A_fit.T @ y_fit, h, lams,
-                                   A[hold], y[hold])
+    holds = fold_indices(A.shape[0], folds, seed)
+    G, b = _fold_grams(A, y, holds)
+    errors = _solve_path(G, b, omega / 2.0, lams, A, y, holds)
     mean_errors = errors.mean(axis=1)
     best = np.nonzero(mean_errors <= mean_errors.min())[0]
     chosen = float(lams[best[0]])  # grid is descending: first hit = largest

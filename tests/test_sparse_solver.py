@@ -117,7 +117,7 @@ def test_nonconvergence_warns_with_residual(monkeypatch):
     assert kkt_residual(prob, v) <= KKT_TOL
 
     def wrong_path(G, b, h, lams):
-        yield np.array([0]), np.zeros(1), np.ones(1), 0, len(lams)
+        yield 0, np.array([0]), np.zeros(1), np.ones(1), 0, len(lams)
 
     monkeypatch.setattr(sp, "_homotopy", wrong_path)
     with warnings.catch_warnings(record=True) as wlist:
@@ -234,11 +234,15 @@ def test_cv_tie_break_prefers_largest_lambda():
 
 
 def _path(G, b, h, lams):
-    """The path's solutions at every grid lambda, shape (L, p)."""
-    X = np.zeros((len(lams), len(b)))
-    for S, q, w, lo, hi in _homotopy(G, b, h, lams):
-        X[lo:hi, S] = w - lams[lo:hi, None] * q
-    return X
+    """The paths' solutions at every grid lambda: (L, p) for one problem
+    ``G`` (p, p), (L, F, p) for a stack of F problems run together."""
+    one = G.ndim == 2
+    if one:
+        G, b = G[None], b[None]
+    X = np.zeros((len(lams),) + b.shape)
+    for f, S, q, w, lo, hi in _homotopy(G, b, h, lams):
+        X[lo:hi, f, S] = w - lams[lo:hi, None] * q
+    return X[:, 0] if one else X
 
 
 def _fold_problem(rng, n, p, folds):
@@ -260,11 +264,14 @@ def test_path_kkt_at_every_grid_lambda():
         A, y, G, b = _fold_problem(rng, n, p, 5)
         omega = rng.uniform(0.5, 2.0, p)
         lams = lambda_grid(A, y, omega)
-        for Gf, bf in zip(G, b):
-            X = _path(Gf, bf, omega / 2.0, lams)
+        X = _path(G, b, omega / 2.0, lams)        # the folds run together
+        for f, (Gf, bf) in enumerate(zip(G, b)):
             tol = 1e-12 * max(1.0, np.abs(bf).max())
-            for lam, x in zip(lams, X):
+            for lam, x in zip(lams, X[:, f]):
                 assert _kkt_from_gram(Gf @ x, bf, lam * omega / 2.0, x) <= tol
+            # one path on its own gives the same solutions
+            alone = _path(Gf, bf, omega / 2.0, lams)
+            assert np.allclose(alone, X[:, f], rtol=1e-10, atol=1e-12)
 
 
 def test_path_matches_prox_gradient_oracle():
@@ -309,8 +316,7 @@ def test_cv_select_lambda_matches_reference():
         assert report.chosen == chosen
         # the descent stops early and may leave a coordinate of about 1e-5
         # in or out, so errors are compared where every fold's support agrees
-        path = np.stack([_path(Gf, bf, omega / 2.0, report.lambdas) for Gf, bf in zip(G, b)],
-                        axis=1)
+        path = _path(G, b, omega / 2.0, report.lambdas)
         agree = np.all((path != 0) == supports, axis=(1, 2))
         assert agree.sum() >= len(agree) - 2
         assert np.allclose(report.mean_errors[agree], mean_errors[agree], rtol=1e-9, atol=0.0)
@@ -331,18 +337,16 @@ def test_cv_refits_each_fold_support_once(monkeypatch):
         A, y, G, b = _fold_problem(np.random.default_rng(seed), n, p, 5)
         omega = np.ones(p)
         lams = lambda_grid(A, y, omega)
-        supports = set()
-        for f, (hold, Gf, bf) in enumerate(zip(fold_indices(n, 5, 0), G, b)):
-            fit = np.isin(np.arange(n), hold, invert=True)
-            segments = list(_homotopy(Gf, bf, omega / 2.0, lams))
-            for S, _, w, _, _ in segments:
-                # each segment's w is the least-squares refit on its support
-                if S.size:
-                    ref = np.linalg.lstsq(A[fit][:, S], y[fit], rcond=None)[0]
-                    assert np.abs(w - ref).max() <= 1e-10 * np.abs(ref).max()
-            keys = {np.sort(S).tobytes() for S, *_ in segments}
-            revisits += len(segments) - len(keys)
-            supports |= {(f, key) for key in keys}
+        fits = [np.isin(np.arange(n), hold, invert=True) for hold in fold_indices(n, 5, 0)]
+        segments = list(_homotopy(G, b, omega / 2.0, lams))
+        for f, S, _, w, _, _ in segments:
+            # each segment's w is the least-squares refit on its support
+            if S.size:
+                A_fit, y_fit = A[fits[f]], y[fits[f]]
+                ref = np.linalg.lstsq(A_fit[:, S], y_fit, rcond=None)[0]
+                assert np.abs(w - ref).max() <= 1e-10 * np.abs(ref).max()
+        supports = {(f, np.sort(S).tobytes()) for f, S, *_ in segments}
+        revisits += len(segments) - len(supports)
         # the path starts from the empty support at the largest lambdas
         assert (0, b"") in supports
         calls.clear()
