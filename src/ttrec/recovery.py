@@ -13,25 +13,29 @@ Each sweep right-orthogonalizes the train, walks modes left to right, solves
 the configured microstep on the training partition, left-orthogonalizes the
 updated component, and adapts the bond rank via the stable/unstable
 singular-value split.  The best-validation iterate is returned since the
-LASSO microsteps make the error sequences non-monotonic.
+LASSO microsteps make the error sequences non-monotonic.  Every penalty
+is chosen by one k-fold driver, ``sparse_solver.cross_validate``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .bases import UnivariateBasis, diag_sup_gramian, gramian_orthonormalize, h1_gramian
-from .sparse_solver import (LassoProblem, cv_select_lambda, debias_on_support,
-                            fold_indices, lasso_solve)
+from .sparse_solver import (LassoProblem, cross_validate, cv_select_lambda,
+                            debias_on_support, lambda_grid, lasso_solve)
 from .tensor_core import TensorTrain, canonicalize, tt_evaluate_batch, tt_random
 
 RIDGE_RTOL = 1e-12      # relative ridge added to rank-deficient LS microsteps
 EIG_FLOOR = 1e-12       # eigenvalue floor before taking square roots
+PINV_RTOL = 1e-12       # relative eigenvalue floor of the unpenalized ridge CV fit
 UNSTABLE_MAGNITUDE = 1e-3  # size of injected singular values, relative to
                            # the smallest stable one
 
 ALGORITHMS = ("als", "als_l2", "rals", "r2als")
+GRAMIANS = ("diag_sup", "h1")
 
 
 class RecoveryError(RuntimeError):
@@ -40,7 +44,13 @@ class RecoveryError(RuntimeError):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Point samples of the target function with optional partitions."""
+    """Point samples of the target function with optional partitions.
+
+    A partition is an array of sample indices in ``[0, n)``; no sample may
+    be in two partitions.  ``train_idx`` and ``val_idx`` come together or
+    not at all; without them ``recover`` splits the samples outside
+    ``test_idx`` at random.
+    """
 
     points: np.ndarray            # (n, M)
     values: np.ndarray            # (n,)
@@ -67,6 +77,24 @@ class SampleSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "weights", w)
+        if (self.train_idx is None) != (self.val_idx is None):
+            raise RecoveryError("train_idx and val_idx must be given together")
+        seen = np.zeros(n, dtype=bool)
+        for name in ("train_idx", "val_idx", "test_idx"):
+            idx = getattr(self, name)
+            if idx is None:
+                continue
+            idx = np.asarray(idx)
+            if idx.size == 0:
+                idx = np.zeros(0, dtype=np.intp)
+            if idx.ndim != 1 or idx.dtype.kind not in "iu":
+                raise RecoveryError(f"{name} must be a 1-d array of integer indices")
+            if np.any((idx < 0) | (idx >= n)):
+                raise RecoveryError(f"{name} has indices outside [0, {n})")
+            if seen[idx].any():
+                raise RecoveryError(f"{name} overlaps another partition")
+            seen[idx] = True
+            object.__setattr__(self, name, idx)
 
     @property
     def size(self) -> int:
@@ -97,6 +125,8 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise RecoveryError(f"unknown algorithm {self.algorithm!r}")
+        if self.gramian not in GRAMIANS:
+            raise RecoveryError(f"unknown gramian {self.gramian!r}")
         if self.max_rank < 1 or self.initial_rank < 1:
             raise RecoveryError("ranks must be >= 1")
         if self.initial_rank > self.max_rank:
@@ -175,47 +205,39 @@ def microstep_ls(A: np.ndarray, u: np.ndarray):
     Q, R = np.linalg.qr(A)
     diag = np.abs(np.diag(R))
     if diag.min(initial=0.0) > 1e-12 * max(diag.max(initial=0.0), 1e-300):
-        from scipy.linalg import solve_triangular
         return solve_triangular(R, Q.T @ u), False
     G = A.T @ A
     ridge = RIDGE_RTOL * max(float(np.diag(G).max()), 1.0)
     return np.linalg.solve(G + ridge * np.eye(p), A.T @ u), False
 
 
-def _ridge_path(e, Vtb, lams):
-    # eigen-decomposed ridge solutions for all penalties at once
-    return Vtb[None, :] / (e[None, :] + lams[:, None])
+def _ridge_fold_errors(G, b, lams, A, u, holds) -> np.ndarray:
+    """(L, F) held-out errors of the ridge fits, every penalty of every fold
+    from one batched ``eigh`` of the fold Grams; at ``lam = 0`` the
+    pseudo-inverse fit, eigenvalues under ``PINV_RTOL`` of the largest dropped."""
+    e, V = np.linalg.eigh(G)
+    e = np.maximum(e, 0.0)[:, None, :]
+    dropped = (lams[:, None] == 0.0) & (e <= PINV_RTOL * e[:, :, -1:])   # (F, L, p)
+    denom = np.where(dropped, np.inf, e + lams[:, None])
+    coeffs = (b[:, None, :] @ V) / denom @ V.swapaxes(1, 2)
+    # the held-out rows in fold order, each predicted by its own fold's fits
+    order, sizes = np.concatenate(holds), np.array([len(hold) for hold in holds])
+    fold = np.repeat(np.arange(len(holds)), sizes)
+    resid = u[order, None] - (coeffs @ A[order].T)[fold, :, np.arange(len(order))]
+    return (np.add.reduceat(resid**2, np.cumsum(sizes) - sizes) / sizes[:, None]).T
 
 
 def microstep_l2(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
                  decades: float = 4.0, points: int = 25):
-    """Ridge microstep with the penalty chosen by k-fold cross-validation.
+    """Ridge microstep, its penalty cross-validated from one ``eigh`` of the fold Grams.
 
     Returns ``(v, lam)``; ties at the CV minimum go to the largest penalty.
     """
     A = np.asarray(A, float)
     u = np.asarray(u, float)
-    p = A.shape[1]
-    lam_max = 2.0 * float(np.abs(A.T @ u).max(initial=0.0))
-    if lam_max == 0.0:
-        return np.zeros(p), 0.0
     # unpenalized fit appended so noiseless in-class data can win exactly
-    lams = np.append(np.geomspace(lam_max, lam_max * 10.0 ** (-decades), points), 0.0)
-    idx = fold_indices(A.shape[0], folds, seed)
-    errors = np.zeros((len(lams), folds))
-    for f, hold in enumerate(idx):
-        mask = np.ones(A.shape[0], dtype=bool)
-        mask[hold] = False
-        At, ut = A[mask], u[mask]
-        e, V = np.linalg.eigh(At.T @ At)
-        e = np.maximum(e, 0.0)
-        coeffs = _ridge_path(e, V.T @ (At.T @ ut), lams[:-1]) @ V.T  # (points, p)
-        ls = np.linalg.lstsq(At, ut, rcond=None)[0]
-        coeffs = np.vstack([coeffs, ls])
-        resid = u[hold][None, :] - coeffs @ A[hold].T
-        errors[:, f] = np.einsum("li,li->l", resid, resid) / len(hold)
-    mean_errors = errors.mean(axis=1)
-    lam = float(lams[np.argmax(mean_errors <= mean_errors.min())])
+    lams = np.append(lambda_grid(A, u, np.ones(A.shape[1]), decades, points), 0.0)
+    lam = cross_validate(A, u, lams, folds, seed, _ridge_fold_errors).chosen
     if lam == 0.0:
         return np.linalg.lstsq(A, u, rcond=None)[0], 0.0
     e, V = np.linalg.eigh(A.T @ A)
@@ -360,15 +382,11 @@ def rank_adapt(tt: TensorTrain, m: int, theta: float, buffer: int,
 
 
 def _select_gramian(basis: UnivariateBasis, name: str):
-    if name == "diag_sup":
-        if basis.sup_norms is None:
-            # infinite sup-norms (Gaussian measure): fall back to the
-            # Sobolev-style Gramian
-            return h1_gramian(basis)
-        return diag_sup_gramian(basis)
-    if name == "h1":
+    # infinite sup-norms (Gaussian measure): diag_sup falls back to the
+    # Sobolev-style Gramian
+    if name == "h1" or basis.sup_norms is None:
         return h1_gramian(basis)
-    raise RecoveryError(f"unknown gramian {name!r}")
+    return diag_sup_gramian(basis)
 
 
 def _initial_tt(dims, ranks, rng, scale: float) -> TensorTrain:
@@ -392,12 +410,15 @@ def _initial_tt(dims, ranks, rng, scale: float) -> TensorTrain:
 
 
 def _split_samples(samples: SampleSet, fraction: float, seed: int):
-    if samples.train_idx is not None and samples.val_idx is not None:
-        return np.asarray(samples.train_idx), np.asarray(samples.val_idx)
-    n = samples.size
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_val = max(1, int(round(fraction * n))) if n > 1 else 0
+    """The given training and validation partitions, or a seeded random
+    split of the samples outside the test partition."""
+    if samples.train_idx is not None:
+        return samples.train_idx, samples.val_idx
+    pool = np.arange(samples.size)
+    if samples.test_idx is not None:
+        pool = np.setdiff1d(pool, samples.test_idx)
+    perm = np.random.default_rng(seed).permutation(pool)
+    n_val = max(1, int(round(fraction * len(pool)))) if len(pool) > 1 else 0
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
@@ -430,7 +451,7 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     target = sw * samples.values
     d = work_basis.dimension
 
-    scale = float(np.mean(samples.values[train_idx])) if len(train_idx) else 1.0
+    scale = float(np.mean(samples.values[train_idx]))
     if scale == 0.0:
         rms = float(np.sqrt(np.mean(samples.values[train_idx] ** 2)))
         scale = rms if rms > 0 else 1.0
@@ -503,7 +524,7 @@ def recover(samples: SampleSet, config: RecoveryConfig,
             break
 
     if samples.test_idx is not None and report.best_sweep >= 0:
-        idx = np.asarray(samples.test_idx)
+        idx = samples.test_idx
         pred = predict(report.tt, work_basis, samples.points[idx])
         report.test_error = relative_error(pred, samples.values[idx],
                                            samples.weights[idx])

@@ -334,12 +334,21 @@ def _fold_grams(A, y, holds):
     G = np.empty((len(holds), A.shape[1], A.shape[1]))
     b = np.empty((len(holds), A.shape[1]))
     for f, hold in enumerate(holds):
-        fit = np.ones(len(y), dtype=bool)
-        fit[hold] = False
-        A_fit = A[fit]
+        A_fit = np.delete(A, hold, axis=0)
         np.matmul(A_fit.T, A_fit, out=G[f])
-        np.matmul(A_fit.T, y[fit], out=b[f])
+        np.matmul(A_fit.T, np.delete(y, hold), out=b[f])
     return G, b
+
+
+def cross_validate(A, y, lams, folds: int, seed: int, fold_errors) -> CvReport:
+    """k-fold CV over the descending grid ``lams``: ``fold_errors(G, b, lams,
+    A, y, holds)`` scores the fits on the fold Grams, shape (L, F); among
+    lambdas tying at the minimum fold mean, the largest wins."""
+    holds = fold_indices(A.shape[0], folds, seed)
+    G, b = _fold_grams(A, y, holds)
+    mean_errors = fold_errors(G, b, lams, A, y, holds).mean(axis=1)
+    chosen = float(lams[np.argmax(mean_errors <= mean_errors.min())])  # first = largest
+    return CvReport(lams, mean_errors, chosen, seed)
 
 
 def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
@@ -358,11 +367,6 @@ def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    lams = lambda_grid(A, y, omega, decades, points)
-    holds = fold_indices(A.shape[0], folds, seed)
-    G, b = _fold_grams(A, y, holds)
-    errors = _solve_path(G, b, omega / 2.0, lams, A, y, holds)
-    mean_errors = errors.mean(axis=1)
-    best = np.nonzero(mean_errors <= mean_errors.min())[0]
-    chosen = float(lams[best[0]])  # grid is descending: first hit = largest
-    return CvReport(lams, mean_errors, chosen, seed)
+    return cross_validate(A, y, lambda_grid(A, y, omega, decades, points), folds, seed,
+                          lambda G, b, lams, A, y, holds:
+                          _solve_path(G, b, omega / 2.0, lams, A, y, holds))

@@ -6,8 +6,10 @@ path), tensor ranks come from dense matricizations, the Poisson value
 from its double sine series.  The reference coordinate descent and CV
 error loop below are the solver the path replaced, kept as a second,
 independent LASSO engine whose cross-validated choices the path must
-reproduce; the reference diffusion solve is the sparse assembly and direct
-solve that the banded Cholesky solver replaced.
+reproduce; the reference ridge CV is the per-fold ``eigh`` and ``lstsq``
+loop that the batched fold-Gram scorer replaced; the reference diffusion
+solve is the sparse assembly and direct solve that the banded Cholesky
+solver replaced.
 """
 import numpy as np
 import scipy.sparse as sparse
@@ -194,6 +196,39 @@ def reference_cv_errors(A, y, omega, folds=10, seed=0):
     mean_errors = errors.mean(axis=1)
     best = np.nonzero(mean_errors <= mean_errors.min())[0]
     return mean_errors, float(lams[best[0]]), x != 0
+
+
+def reference_ridge_cv(A, u, folds=10, seed=0, decades=4.0, points=25):
+    """The grid, mean held-out error per penalty and chosen penalty of the
+    ridge microstep's cross-validation, one fold at a time: the fold's own
+    ``eigh`` for every penalty and ``lstsq`` for the unpenalized fit."""
+    from ttrec.sparse_solver import fold_indices
+
+    def _ridge_path(e, Vtb, lams):
+        # eigen-decomposed ridge solutions for all penalties at once
+        return Vtb[None, :] / (e[None, :] + lams[:, None])
+
+    A = np.asarray(A, float)
+    u = np.asarray(u, float)
+    lam_max = 2.0 * float(np.abs(A.T @ u).max(initial=0.0))
+    # unpenalized fit appended so noiseless in-class data can win exactly
+    lams = np.append(np.geomspace(lam_max, lam_max * 10.0 ** (-decades), points), 0.0)
+    idx = fold_indices(A.shape[0], folds, seed)
+    errors = np.zeros((len(lams), folds))
+    for f, hold in enumerate(idx):
+        mask = np.ones(A.shape[0], dtype=bool)
+        mask[hold] = False
+        At, ut = A[mask], u[mask]
+        e, V = np.linalg.eigh(At.T @ At)
+        e = np.maximum(e, 0.0)
+        coeffs = _ridge_path(e, V.T @ (At.T @ ut), lams[:-1]) @ V.T  # (points, p)
+        ls = np.linalg.lstsq(At, ut, rcond=None)[0]
+        coeffs = np.vstack([coeffs, ls])
+        resid = u[hold][None, :] - coeffs @ A[hold].T
+        errors[:, f] = np.einsum("li,li->l", resid, resid) / len(hold)
+    mean_errors = errors.mean(axis=1)
+    lam = float(lams[np.argmax(mean_errors <= mean_errors.min())])
+    return lams, mean_errors, lam
 
 
 def reference_solve_diffusion(model_or_field, y=None, n=64, f=None):

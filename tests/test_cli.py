@@ -115,10 +115,10 @@ def test_recover_fewer_samples_than_cv_folds_exit_2(tmp_path, capsys):
     ("lambda_grid_decades", 0), ("lambda_grid_decades", -1),
     ("validation_fraction", 1.2), ("test_fraction", -0.1), ("test_fraction", 1.5),
     ("dimension", 0), ("patience", 0), ("stop_tol", -0.001),
-    ("initial_rank", 3)])
+    ("initial_rank", 3), ("gramian", "bogus")])
 def test_recover_out_of_range_config_exit_2(tmp_path, capsys, key, value):
     samples = write_constant_fixture(tmp_path, n=100)
-    algorithm = "als" if key in ("validation_fraction", "test_fraction") else "r2als"
+    algorithm = "als" if key in ("validation_fraction", "test_fraction", "gramian") else "r2als"
     cfg = write_config(tmp_path, algorithm=algorithm, **{key: value})
     out = tmp_path / "m.tt"
     rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
