@@ -9,12 +9,14 @@ Four microstep flavors share one sweep engine:
 * ``r2als``   -- plain LASSO after a one-time Gramian-orthonormalization of
                  the univariate basis (no resubstitution needed).
 
-Each sweep right-orthogonalizes the train, walks modes left to right, solves
-the configured microstep on the training partition, left-orthogonalizes the
-updated component, and adapts the bond rank via the stable/unstable
-singular-value split.  The best-validation iterate is returned since the
-LASSO microsteps make the error sequences non-monotonic.  Every penalty
-is chosen by one k-fold driver, ``sparse_solver.cross_validate``.
+Each sweep right-orthogonalizes the train, builds the per-sample interface
+stacks on the training partition, and walks modes left to right: it solves
+the configured microstep on the design rows read from the stacks,
+left-orthogonalizes the updated component, adapts the bond rank via the
+stable/unstable singular-value split, and advances the stacks one mode.
+The best-validation iterate is returned since the LASSO microsteps make
+the error sequences non-monotonic.  Every penalty is chosen by one k-fold
+driver, ``sparse_solver.cross_validate``.
 """
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ from scipy.linalg import solve_triangular
 from .bases import UnivariateBasis, diag_sup_gramian, gramian_orthonormalize, h1_gramian
 from .sparse_solver import (LassoProblem, cross_validate, cv_select_lambda,
                             debias_on_support, lambda_grid, lasso_solve)
-from .tensor_core import TensorTrain, canonicalize, tt_evaluate_batch, tt_random
+from .tensor_core import (TensorTrain, canonicalize, design_matrix, fixed_interface,
+                          tt_evaluate_batch, tt_random)
 
 RIDGE_RTOL = 1e-12      # relative ridge added to rank-deficient LS microsteps
 EIG_FLOOR = 1e-12       # eigenvalue floor before taking square roots
@@ -46,10 +49,10 @@ class RecoveryError(RuntimeError):
 class SampleSet:
     """Point samples of the target function with optional partitions.
 
-    A partition is an array of sample indices in ``[0, n)``; no sample may
-    be in two partitions.  ``train_idx`` and ``val_idx`` come together or
-    not at all; without them ``recover`` splits the samples outside
-    ``test_idx`` at random.
+    A partition is an array of distinct sample indices in ``[0, n)``; no
+    sample may be in two partitions.  ``train_idx`` and ``val_idx`` come
+    together or not at all; without them ``recover`` splits the samples
+    outside ``test_idx`` at random.
     """
 
     points: np.ndarray            # (n, M)
@@ -91,6 +94,8 @@ class SampleSet:
                 raise RecoveryError(f"{name} must be a 1-d array of integer indices")
             if np.any((idx < 0) | (idx >= n)):
                 raise RecoveryError(f"{name} has indices outside [0, {n})")
+            if np.unique(idx).size != idx.size:
+                raise RecoveryError(f"{name} repeats an index")
             if seen[idx].any():
                 raise RecoveryError(f"{name} overlaps another partition")
             seen[idx] = True
@@ -188,8 +193,8 @@ def relative_error(pred, values, weights=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# microsteps (design matrices are assembled by the sweep engine or via
-# tensor_core.design_matrix)
+# microsteps: each takes the weighted design rows ``A`` (from
+# tensor_core.design_matrix) and the weighted training values ``u``
 
 
 def microstep_ls(A: np.ndarray, u: np.ndarray):
@@ -429,7 +434,6 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     if samples.size == 0:
         raise RecoveryError("no samples")
     M = samples.order
-    n = samples.size
     rng = np.random.default_rng(config.seed)
 
     work_basis = basis
@@ -447,8 +451,10 @@ def recover(samples: SampleSet, config: RecoveryConfig,
         raise RecoveryError(f"{len(train_idx)} training samples are fewer than the "
                             f"{config.cv_folds} cross-validation folds")
     B = [work_basis.evaluate(samples.points[:, m]) for m in range(M)]
-    sw = np.sqrt(samples.weights)
-    target = sw * samples.values
+    # the microsteps read only the training rows of the design
+    B_train = [b[train_idx] for b in B]
+    w_train = samples.weights[train_idx]
+    u = np.sqrt(w_train) * samples.values[train_idx]
     d = work_basis.dimension
 
     scale = float(np.mean(samples.values[train_idx]))
@@ -468,17 +474,10 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     for sweep in range(config.max_sweeps):
         try:
             tt = canonicalize(tt, 0)
-            RS = [None] * (M + 1)
-            RS[M] = np.ones((n, 1))
-            for k in range(M - 1, 0, -1):
-                RS[k] = np.einsum("ler,ne,nr->nl", tt.components[k], B[k], RS[k + 1])
-            L = np.ones((n, 1))
+            stacks = fixed_interface(tt, 0, B_train)
             lam_sweep = []
             for m in range(M):
-                A_all = np.einsum("nl,ne,nr->nler", L, B[m], RS[m + 1]).reshape(n, -1)
-                A_all *= sw[:, None]
-                A = A_all[train_idx]
-                u = target[train_idx]
+                A = design_matrix(stacks, w_train)
                 if len(train_idx) < A.shape[1]:
                     report.underdetermined.append((sweep, m))
                 if config.algorithm == "als":
@@ -496,7 +495,7 @@ def recover(samples: SampleSet, config: RecoveryConfig,
                 if m < M - 1:
                     tt = rank_adapt(tt, m, config.theta, config.buffer,
                                     config.max_rank, rng)
-                    L = np.einsum("nl,ler,ne->nr", L, tt.components[m], B[m])
+                    stacks.advance(tt)
         except (RecoveryError, np.linalg.LinAlgError) as exc:
             report.aborted = f"sweep {sweep}: {exc}"
             break

@@ -1,10 +1,14 @@
-"""Tensor trains: decomposition, orthogonalization, and sample-wise contractions.
+"""Tensor trains: decomposition, orthogonalization, and per-sample interface stacks.
 
 A tensor train (TT) stores an order-M coefficient tensor as a chain of order-3
 components ``V_m`` of shape ``(r_{m-1}, n_m, r_m)`` with boundary ranks
 ``r_0 = r_M = 1``.  All multi-index linearizations are row-major (C order),
 which fixes the index bijection used by :func:`design_matrix` and
 :func:`save_tt`.
+
+The per-sample contractions live in :class:`InterfaceStacks`, which a sweep
+advances one mode per microstep; :func:`design_matrix` reads its rows and
+:func:`tt_evaluate_batch` runs its left push through every mode.
 
 Instances of :class:`TensorTrain` are immutable: component arrays are copied
 on construction and marked read-only, so values can be shared freely across
@@ -171,16 +175,21 @@ def tt_to_dense(tt: TensorTrain, cap: int = DENSIFY_CAP) -> np.ndarray:
     return arr.reshape(tt.dims)
 
 
-def left_orthogonalize(tt: TensorTrain) -> TensorTrain:
-    """Push the non-orthogonal factor to the last component via thin QR."""
+def _left_qr(tt: TensorTrain, stop: int) -> TensorTrain:
+    """Left-orthogonalize components ``0..stop-1`` by thin QR, carrying each
+    R factor into the next component."""
     comps = [np.array(c) for c in tt.components]
-    M = len(comps)
-    for k in range(M - 1):
+    for k in range(stop):
         rl, n, rr = comps[k].shape
         Q, R = np.linalg.qr(comps[k].reshape(rl * n, rr))
         comps[k] = Q.reshape(rl, n, Q.shape[1])
         comps[k + 1] = np.tensordot(R, comps[k + 1], axes=(1, 0))
-    return TensorTrain(tuple(comps), lorth=M - 1, rorth=M)
+    return TensorTrain(tuple(comps), lorth=stop, rorth=max(tt.rorth, stop + 1))
+
+
+def left_orthogonalize(tt: TensorTrain) -> TensorTrain:
+    """Push the non-orthogonal factor to the last component via thin QR."""
+    return _left_qr(tt, tt.order - 1)
 
 
 def right_orthogonalize(tt: TensorTrain) -> TensorTrain:
@@ -199,14 +208,7 @@ def canonicalize(tt: TensorTrain, m: int) -> TensorTrain:
     """Return the train in canonical form with core at mode ``m``."""
     if not 0 <= m < tt.order:
         raise TensorTrainError(f"mode {m} out of range for order {tt.order}")
-    tt = right_orthogonalize(tt)
-    comps = [np.array(c) for c in tt.components]
-    for k in range(m):
-        rl, n, rr = comps[k].shape
-        Q, R = np.linalg.qr(comps[k].reshape(rl * n, rr))
-        comps[k] = Q.reshape(rl, n, Q.shape[1])
-        comps[k + 1] = np.tensordot(R, comps[k + 1], axes=(1, 0))
-    return TensorTrain(tuple(comps), lorth=m, rorth=m + 1)
+    return _left_qr(right_orthogonalize(tt), m)
 
 
 def tt_rank(tt: TensorTrain) -> tuple:
@@ -245,81 +247,88 @@ def insert_gauge(tt: TensorTrain, m: int, A: np.ndarray) -> TensorTrain:
 
 
 # ---------------------------------------------------------------------------
-# fixed-interface operator and sample-wise contractions
+# fixed-interface operator and per-sample interface stacks
 
 
-@dataclass(frozen=True)
-class InterfaceStacks:
-    """Left/right component chains around a fixed mode.
-
-    Together these realize the isometric embedding of the mode-``m``
-    component into the full coefficient space; contraction with per-sample
-    basis values is deferred to :meth:`left_vectors` / :meth:`right_vectors`.
-    """
-
-    mode: int
-    left: tuple   # components 0..m-1, left-orthogonal
-    right: tuple  # components m+1..M-1, right-orthogonal
-    dims: tuple   # (r_{m-1}, n_m, r_m)
-
-    def left_vectors(self, basis_values) -> np.ndarray:
-        """Contract left components with basis values; shape (n, r_{m-1})."""
-        n = len(basis_values[0]) if self.mode > 0 else _n_samples(basis_values)
-        L = np.ones((n, 1))
-        for k, comp in enumerate(self.left):
-            L = np.einsum("nl,ler,ne->nr", L, comp, basis_values[k])
-        return L
-
-    def right_vectors(self, basis_values) -> np.ndarray:
-        """Contract right components with basis values; shape (n, r_m)."""
-        n = _n_samples(basis_values)
-        R = np.ones((n, 1))
-        for k in range(len(self.right) - 1, -1, -1):
-            b = basis_values[self.mode + 1 + k]
-            R = np.einsum("ler,ne,nr->nl", self.right[k], b, R)
-        return R
+def _push_left(L: np.ndarray, comp: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample left interface one mode further: (n, r_{k-1}) -> (n, r_k)."""
+    return np.einsum("nl,ler,ne->nr", L, comp, b)
 
 
-def _n_samples(basis_values) -> int:
-    for b in basis_values:
-        return np.asarray(b).shape[0]
-    raise TensorTrainError("no basis values given")
-
-
-def fixed_interface(tt: TensorTrain, m: int) -> InterfaceStacks:
-    """Interface stacks for a microstep on mode ``m``.
-
-    Requires the train to be canonical at ``m``; then the embedding
-    ``V_m -> full tensor`` is an isometry of Frobenius norms.
-    """
+def _require_canonical(tt: TensorTrain, m: int) -> None:
     if not 0 <= m < tt.order:
         raise TensorTrainError(f"mode {m} out of range")
     if not tt.is_canonical_at(m):
         raise TensorTrainError(
             f"train is not canonical at mode {m} "
             f"(lorth={tt.lorth}, rorth={tt.rorth})")
-    c = tt.components[m]
-    return InterfaceStacks(mode=m, left=tt.components[:m],
-                           right=tt.components[m + 1:], dims=c.shape)
 
 
-def design_matrix(stacks: InterfaceStacks, basis_values, weights=None) -> np.ndarray:
-    """Per-sample rows of the weighted microstep operator.
+@dataclass
+class InterfaceStacks:
+    """Per-sample interface vectors of a microstep on mode ``mode``.
+
+    Together with the univariate basis values they realize the isometric
+    embedding of the mode-``m`` component into the full coefficient space,
+    one sample at a time.  ``left`` is the left interface at every sample,
+    shape (n, r_{m-1}); ``rights`` stacks the right interfaces of modes
+    M-1, ..., m, so that :attr:`right`, shape (n, r_m), is on top.  A sweep
+    builds the stacks once and :meth:`advance` moves them to mode ``m + 1``
+    after each microstep by one left push and one pop, O(M) contractions
+    per sweep instead of O(M^2).
+    """
+
+    mode: int
+    basis_values: list  # per-mode (n, d_k) arrays
+    left: np.ndarray
+    rights: list
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.rights[-1]
+
+    def advance(self, tt: TensorTrain) -> None:
+        """Move to mode ``m + 1`` once the microstep has updated component
+        ``m`` and the train is canonical at ``m + 1``; components right of
+        ``m + 1`` must be the ones the stacks were built from."""
+        _require_canonical(tt, self.mode + 1)
+        self.left = _push_left(self.left, tt.components[self.mode],
+                               self.basis_values[self.mode])
+        self.rights.pop()
+        self.mode += 1
+
+
+def fixed_interface(tt: TensorTrain, m: int, basis_values) -> InterfaceStacks:
+    """Interface stacks for a microstep on mode ``m`` at the samples whose
+    per-mode basis values are given, shape (n, d_k) each.
+
+    Requires the train to be canonical at ``m``; then the embedding
+    ``V_m -> full tensor`` is an isometry of Frobenius norms.
+    """
+    _require_canonical(tt, m)
+    B = [np.asarray(b, dtype=float) for b in basis_values]
+    n = len(B[0]) if B else 0
+    if [b.shape for b in B] != [(n, d) for d in tt.dims]:
+        raise TensorTrainError(f"basis values must have shapes (n, d) for d in {tt.dims}")
+    rights = [np.ones((n, 1))]
+    for k in range(tt.order - 1, m, -1):
+        rights.append(np.einsum("ler,ne,nr->nl", tt.components[k], B[k], rights[-1]))
+    L = np.ones((n, 1))
+    for k in range(m):
+        L = _push_left(L, tt.components[k], B[k])
+    return InterfaceStacks(mode=m, basis_values=B, left=L, rights=rights)
+
+
+def design_matrix(stacks: InterfaceStacks, weights=None) -> np.ndarray:
+    """Per-sample rows of the weighted microstep operator at the stacks' mode.
 
     Row i is ``sqrt(w_i) * (left_i (x) b(y^i_m) (x) right_i)`` flattened
     row-major, so that ``row @ V_m.ravel()`` equals the weighted evaluation
     of the represented function at sample i.
     """
-    bm = np.asarray(basis_values[stacks.mode], dtype=float)
-    n = bm.shape[0]
-    if bm.shape[1] != stacks.dims[1]:
-        raise TensorTrainError(
-            f"basis dimension {bm.shape[1]} != mode dimension {stacks.dims[1]}")
-    if any(np.asarray(b).shape[0] != n for b in basis_values):
-        raise TensorTrainError("per-mode basis values disagree on the sample count")
-    L = stacks.left_vectors(basis_values)
-    R = stacks.right_vectors(basis_values)
-    A = np.einsum("nl,ne,nr->nler", L, bm, R).reshape(n, -1)
+    n = len(stacks.left)
+    A = np.einsum("nl,ne,nr->nler", stacks.left, stacks.basis_values[stacks.mode],
+                  stacks.right).reshape(n, -1)
     if weights is not None:
         w = np.asarray(weights, dtype=float)
         if w.shape != (n,):
@@ -342,11 +351,13 @@ def tt_evaluate(tt: TensorTrain, basis_values) -> float:
 
 
 def tt_evaluate_batch(tt: TensorTrain, basis_values) -> np.ndarray:
-    """Vectorized :func:`tt_evaluate` over per-mode arrays of shape (n, d_m)."""
-    n = _n_samples(basis_values)
-    L = np.ones((n, 1))
+    """Vectorized :func:`tt_evaluate` over per-mode arrays of shape (n, d_m):
+    the left interface pushed through every mode."""
+    if len(basis_values) == 0:
+        raise TensorTrainError("no basis values given")
+    L = np.ones((len(basis_values[0]), 1))
     for comp, b in zip(tt.components, basis_values):
-        L = np.einsum("nl,ler,ne->nr", L, comp, np.asarray(b, dtype=float))
+        L = _push_left(L, comp, np.asarray(b, dtype=float))
     return L[:, 0]
 
 

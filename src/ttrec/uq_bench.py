@@ -24,9 +24,9 @@ import scipy.sparse.linalg as splinalg  # noqa: F401 - the benchmark tracer (ben
 from scipy.linalg import solveh_banded
 
 from .bases import legendre_basis
-from .recovery import (RecoveryConfig, RecoveryError, SampleSet, recover,
+from .recovery import (RecoveryConfig, RecoveryError, SampleSet, predict, recover,
                        relative_error)
-from .tensor_core import TensorTrain, tt_evaluate_batch
+from .tensor_core import TensorTrain
 
 
 class BenchmarkError(ValueError):
@@ -319,9 +319,7 @@ def synthetic_target(kind: str, order: int, dimension: int) -> TensorTrain:
 
 
 def evaluate_target(tt: TensorTrain, points: np.ndarray) -> np.ndarray:
-    basis = legendre_basis(tt.dims[0])
-    pts = np.atleast_2d(points)
-    return tt_evaluate_batch(tt, [basis.evaluate(pts[:, m]) for m in range(tt.order)])
+    return predict(tt, legendre_basis(tt.dims[0]), points)
 
 
 def _phase_cell(params) -> float:
@@ -338,10 +336,10 @@ def _phase_cell(params) -> float:
     for rep in range(realizations):
         rng = np.random.default_rng([seed, M, n, rep])
         pts = rng.uniform(-1.0, 1.0, (n, M))
-        vals = tt_evaluate_batch(tt, [basis.evaluate(pts[:, m]) for m in range(M)])
+        vals = predict(tt, basis, pts)
         test_rng = np.random.default_rng([seed, M, rep, 1_000_003])
         tpts = test_rng.uniform(-1.0, 1.0, (n_test, M))
-        tvals = tt_evaluate_batch(tt, [basis.evaluate(tpts[:, m]) for m in range(M)])
+        tvals = predict(tt, basis, tpts)
         try:
             report = recover(SampleSet(pts, vals), replace(cfg, seed=rep), basis)
             errs.append(relative_error(report.predict(tpts), tvals))

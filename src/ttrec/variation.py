@@ -245,11 +245,9 @@ def microstep_variation(tt: TensorTrain, m: int, basis, points) -> VariationGrid
     if pts.shape[1] != tt.order:
         raise VariationError(
             f"points have {pts.shape[1]} coordinates, train has order {tt.order}")
-    stacks = fixed_interface(tt, m)  # raises on marker violation
-    basis_values = [basis.evaluate(pts[:, k]) for k in range(tt.order)]
-    L = stacks.left_vectors(basis_values)
-    R = stacks.right_vectors(basis_values)
-    bm = basis_values[m]
+    # raises on marker violation
+    stacks = fixed_interface(tt, m, [basis.evaluate(pts[:, k]) for k in range(tt.order)])
+    L, bm, R = stacks.left, stacks.basis_values[m], stacks.right
     vals = (np.einsum("nl,nl->n", L, L)
             * np.einsum("ne,ne->n", bm, bm)
             * np.einsum("nr,nr->n", R, R))

@@ -10,8 +10,9 @@ from ttrec.recovery import (EIG_FLOOR, PINV_RTOL, RecoveryConfig, RecoveryError,
 from ttrec.sparse_solver import (LassoProblem, _fold_grams, cross_validate,
                                  cv_select_lambda, debias_on_support, fold_indices,
                                  lasso_solve)
-from ttrec.tensor_core import (TensorTrain, canonicalize, design_matrix,
-                               fixed_interface, tt_evaluate_batch, tt_random)
+from ttrec.tensor_core import (TensorTrain, TensorTrainError, canonicalize,
+                               design_matrix, fixed_interface, tt_evaluate_batch,
+                               tt_random)
 from ttrec.variation import microstep_variation
 
 from oracles import reference_ridge_cv
@@ -70,10 +71,10 @@ def test_duplicate_samples_equal_doubled_weights():
     pts = rng.uniform(-1, 1, (10, 2))
     B = [basis.evaluate(pts[:, m]) for m in range(2)]
     u = rng.standard_normal(10)
-    stacks = fixed_interface(tt, 0)
-    A_dup = np.vstack([design_matrix(stacks, B), design_matrix(stacks, B)])
+    stacks = fixed_interface(tt, 0, B)
+    A_dup = np.vstack([design_matrix(stacks), design_matrix(stacks)])
     v_dup, _ = microstep_ls(A_dup, np.concatenate([u, u]))
-    A_w = design_matrix(stacks, B, weights=2.0 * np.ones(10))
+    A_w = design_matrix(stacks, weights=2.0 * np.ones(10))
     v_w, _ = microstep_ls(A_w, np.sqrt(2.0) * u)
     assert np.abs(v_dup - v_w).max() <= 1e-10
 
@@ -250,7 +251,7 @@ def test_microstep_rals_rotation_invariance():
     B = [basis.evaluate(pts[:, k]) for k in range(M)]
     u = rng.standard_normal(60)
     g = diag_sup_gramian(basis).matrix
-    A = design_matrix(fixed_interface(tt, m), B)
+    A = design_matrix(fixed_interface(tt, m, B))
     H = local_gramian(tt, m, [g] * M)
     v, _ = microstep_rals(A, u, H, folds=5, seed=0)
     vals = A @ v
@@ -262,7 +263,7 @@ def test_microstep_rals_rotation_invariance():
     comps[m] = np.einsum("lq,ler,rs->qes", QL, comps[m], QR)
     comps[m + 1] = np.tensordot(QR.T, comps[m + 1], axes=(1, 0))
     tt2 = TensorTrain(tuple(comps), lorth=m, rorth=m + 1)
-    A2 = design_matrix(fixed_interface(tt2, m), B)
+    A2 = design_matrix(fixed_interface(tt2, m, B))
     H2 = local_gramian(tt2, m, [g] * M)
     v2, _ = microstep_rals(A2, u, H2, folds=5, seed=0)
     assert np.abs(A2 @ v2 - vals).max() <= 1e-8 * max(1.0, np.abs(vals).max())
@@ -326,6 +327,39 @@ def test_rank_adapt_buffer_zero_truncates():
                      lorth=0, rorth=1)
     adapted = rank_adapt(tt, 0, theta=0.1, buffer=0, max_rank=8, rng=rng)
     assert adapted.ranks == (2,)   # 1e-3 < 0.1 * 1.0 dropped
+
+
+def test_advanced_stacks_match_one_shot_rows():
+    # two sweeps of the engine's steps on a training subset, every bond grown
+    # by an injected direction: the stacks advanced one mode per microstep
+    # give the rows of stacks built from scratch at that mode, bit for bit
+    rng = np.random.default_rng(31)
+    M, basis = 4, legendre_basis(4)
+    pts = rng.uniform(-1, 1, (60, M))
+    train = np.sort(rng.permutation(60)[:45])
+    B_train = [basis.evaluate(pts[train, k]) for k in range(M)]
+    w_train = rng.uniform(0.5, 2.0, 60)[train]
+    u = np.sqrt(w_train) * np.exp(pts[train].sum(axis=1) / 3.0)
+    tt = tt_random((4,) * M, (1,) * (M - 1), rng)
+    ranks = []
+    for sweep in range(2):
+        tt = canonicalize(tt, 0)
+        stacks = fixed_interface(tt, 0, B_train)
+        for m in range(M):
+            A = design_matrix(stacks, w_train)
+            assert np.array_equal(A, design_matrix(fixed_interface(tt, m, B_train), w_train))
+            v, _ = microstep_ls(A, u)
+            tt = tt.with_component(m, v.reshape(tt.components[m].shape))
+            with pytest.raises(TensorTrainError):   # canonical at m, not at m + 1
+                stacks.advance(tt)
+            assert stacks.mode == m
+            if m < M - 1:
+                tt = rank_adapt(tt, m, theta=0.5, buffer=1, max_rank=3, rng=rng)
+                stacks.advance(tt)
+        ranks.append(tt.ranks)
+    assert ranks[0] == (2, 2, 2) and 3 in ranks[1]   # injected again, up to max_rank
+    with pytest.raises(TensorTrainError):   # no mode right of the last
+        stacks.advance(canonicalize(tt, M - 1))
 
 
 def test_rank_adapt_requires_canonical_form():
@@ -436,7 +470,9 @@ def test_sample_partitions_validated():
             ({"train_idx": train, "val_idx": val, "test_idx": [20]}, "outside"),
             ({"train_idx": train, "val_idx": [-1]}, "outside"),
             ({"train_idx": train, "val_idx": [14, 15]}, "overlaps"),
-            ({"train_idx": train[:10], "val_idx": val, "test_idx": [9]}, "overlaps")):
+            ({"train_idx": train[:10], "val_idx": val, "test_idx": [9]}, "overlaps"),
+            ({"train_idx": [0, 0, 1, 2], "val_idx": [3]}, "train_idx repeats"),
+            ({"train_idx": train, "val_idx": [15], "test_idx": [17, 17]}, "test_idx repeats")):
         with pytest.raises(RecoveryError, match=match):
             SampleSet(pts, vals, **kwargs)
     ok = SampleSet(pts, vals, train_idx=list(range(15)), val_idx=[], test_idx=val)
@@ -491,7 +527,7 @@ def test_unrestricted_microstep_variation_blowup():
     B = [basis.evaluate(pts[:, k]) for k in range(M)]
     kernel = basis.evaluate(np.array([1.0]))[0]
     target = B[m] @ kernel
-    A = design_matrix(fixed_interface(tt, m), B)
+    A = design_matrix(fixed_interface(tt, m, B))
     v, _ = microstep_ls(A, target)
     tt_after = canonicalize(tt.with_component(m, v.reshape(1, d, 1)), 0)
     after = microstep_variation(tt_after, 0, basis, cloud).sup()

@@ -141,7 +141,7 @@ def test_fixed_interface_requires_canonical_form():
     rng = np.random.default_rng(8)
     tt = tt_random((3, 3, 3), (2, 2), rng)
     with pytest.raises(TensorTrainError):
-        fixed_interface(tt, 1)
+        fixed_interface(tt, 1, [np.ones((2, 3))] * 3)
 
 
 def test_fixed_interface_boundary_and_isometry():
@@ -149,12 +149,12 @@ def test_fixed_interface_boundary_and_isometry():
     tt = canonicalize(tt_random((3, 4, 3, 2), (2, 3, 2), rng), 2)
     pts = rng.uniform(-1, 1, (6,))
     # left interface at the first mode is the scalar 1
-    first = fixed_interface(canonicalize(tt, 0), 0)
     basis_values = [rng.standard_normal((6, n)) for n in tt.dims]
-    assert np.array_equal(first.left_vectors(basis_values), np.ones((6, 1)))
+    first = fixed_interface(canonicalize(tt, 0), 0, basis_values)
+    assert np.array_equal(first.left, np.ones((6, 1)))
     # isometry of the embedding for any mode
-    stacks = fixed_interface(tt, 2)
-    W = rng.standard_normal(stacks.dims)
+    stacks = fixed_interface(tt, 2, basis_values)
+    W = rng.standard_normal(tt.components[stacks.mode].shape)
     embedded = dense_embedding(tt, 2, W)
     assert np.isclose(np.linalg.norm(embedded), np.linalg.norm(W), rtol=1e-12)
 
@@ -163,8 +163,7 @@ def test_fixed_interface_two_modes():
     rng = np.random.default_rng(10)
     tt = canonicalize(tt_random((4, 3), (2,), rng), 1)
     basis_values = [rng.standard_normal((5, 4)), rng.standard_normal((5, 3))]
-    stacks = fixed_interface(tt, 1)
-    L = stacks.left_vectors(basis_values)
+    L = fixed_interface(tt, 1, basis_values).left
     assert np.allclose(L, basis_values[0] @ tt.components[0][0], atol=1e-12)
 
 
@@ -173,7 +172,7 @@ def test_design_matrix_single_mode_is_weighted_vandermonde():
     tt = canonicalize(tt_random((5,), (), rng), 0)
     B = [rng.standard_normal((7, 5))]
     w = rng.uniform(0.5, 2.0, 7)
-    A = design_matrix(fixed_interface(tt, 0), B, weights=w)
+    A = design_matrix(fixed_interface(tt, 0, B), weights=w)
     assert np.allclose(A, np.sqrt(w)[:, None] * B[0], atol=1e-14)
 
 
@@ -181,7 +180,7 @@ def test_design_matrix_constant_rows_for_ones():
     rng = np.random.default_rng(12)
     tt = canonicalize(tt_random((3, 3, 3), (1, 1), rng), 1)
     B = [np.ones((4, 3)) for _ in range(3)]
-    A = design_matrix(fixed_interface(tt, 1), B)
+    A = design_matrix(fixed_interface(tt, 1, B))
     assert np.allclose(A, A[0][None, :], atol=1e-14)
 
 
@@ -190,7 +189,7 @@ def test_design_matrix_matches_evaluation():
     tt = canonicalize(tt_random((4, 4, 4, 4), (2, 3, 2), rng), 2)
     pts = rng.uniform(-1, 1, (9, 4))
     B = [np.cos((m + 1) * pts[:, m])[:, None] ** np.arange(4)[None, :] for m in range(4)]
-    A = design_matrix(fixed_interface(tt, 2), B)
+    A = design_matrix(fixed_interface(tt, 2, B))
     direct = tt_evaluate_batch(tt, B)
     assert np.abs(A @ tt.components[2].ravel() - direct).max() <= 1e-12 * max(np.abs(direct).max(), 1)
 
