@@ -15,8 +15,8 @@ the configured microstep on the design rows read from the stacks,
 left-orthogonalizes the updated component, adapts the bond rank via the
 stable/unstable singular-value split, and advances the stacks one mode.
 The best-validation iterate is returned since the LASSO microsteps make
-the error sequences non-monotonic.  Every penalty is chosen by one k-fold
-driver, ``sparse_solver.cross_validate``.
+the error sequences non-monotonic.  Every penalty, and the full-data fit
+at it, comes from one k-fold driver, ``sparse_solver.cross_validate``.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .bases import UnivariateBasis, diag_sup_gramian, gramian_orthonormalize, h1_gramian
-from .sparse_solver import (LassoProblem, cross_validate, cv_select_lambda,
-                            debias_on_support, lambda_grid, lasso_solve)
+from .sparse_solver import cross_validate, cv_select_lambda, debias_on_support, lambda_grid
+from .sparse_solver import lasso_solve  # noqa: F401 - the benchmark tracer (bench/layers.py) wraps it here
 from .tensor_core import (TensorTrain, canonicalize, design_matrix, fixed_interface,
                           tt_evaluate_batch, tt_random)
 
@@ -216,39 +216,51 @@ def microstep_ls(A: np.ndarray, u: np.ndarray):
     return np.linalg.solve(G + ridge * np.eye(p), A.T @ u), False
 
 
-def _ridge_fold_errors(G, b, lams, A, u, holds) -> np.ndarray:
-    """(L, F) held-out errors of the ridge fits, every penalty of every fold
-    from one batched ``eigh`` of the fold Grams; at ``lam = 0`` the
-    pseudo-inverse fit, eigenvalues under ``PINV_RTOL`` of the largest dropped."""
+def _ridge_fold_errors(G, b, lams, A, u, holds):
+    """(L, F) held-out errors of the folds' ridge fits and ``fit(k)``, the
+    full-data fit at ``lams[k]``, from one batched ``eigh`` of the F fold
+    Grams and all rows' Gram.
+
+    Every penalty of every fold is scored from its fold's eigenpairs; at
+    ``lam = 0`` the fold fit is the pseudo-inverse one, eigenvalues under
+    ``PINV_RTOL`` of the largest dropped, and the full-data fit is least
+    squares.
+    """
+    F = len(holds)
     e, V = np.linalg.eigh(G)
-    e = np.maximum(e, 0.0)[:, None, :]
-    dropped = (lams[:, None] == 0.0) & (e <= PINV_RTOL * e[:, :, -1:])   # (F, L, p)
-    denom = np.where(dropped, np.inf, e + lams[:, None])
-    coeffs = (b[:, None, :] @ V) / denom @ V.swapaxes(1, 2)
+    e = np.maximum(e, 0.0)
+    ef = e[:F, None, :]
+    dropped = (lams[:, None] == 0.0) & (ef <= PINV_RTOL * ef[:, :, -1:])   # (F, L, p)
+    denom = np.where(dropped, np.inf, ef + lams[:, None])
+    coeffs = (b[:F, None, :] @ V[:F]) / denom @ V[:F].swapaxes(1, 2)
     # the held-out rows in fold order, each predicted by its own fold's fits
     order, sizes = np.concatenate(holds), np.array([len(hold) for hold in holds])
-    fold = np.repeat(np.arange(len(holds)), sizes)
+    fold = np.repeat(np.arange(F), sizes)
     resid = u[order, None] - (coeffs @ A[order].T)[fold, :, np.arange(len(order))]
-    return (np.add.reduceat(resid**2, np.cumsum(sizes) - sizes) / sizes[:, None]).T
+    errors = (np.add.reduceat(resid**2, np.cumsum(sizes) - sizes) / sizes[:, None]).T
+
+    def fit(k):
+        if lams[k] == 0.0:
+            return np.linalg.lstsq(A, u, rcond=None)[0]
+        return V[-1] @ (V[-1].T @ b[-1] / (e[-1] + lams[k]))
+
+    return errors, fit
 
 
 def microstep_l2(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
                  decades: float = 4.0, points: int = 25):
-    """Ridge microstep, its penalty cross-validated from one ``eigh`` of the fold Grams.
+    """Ridge microstep: the penalty cross-validated and the fit at it, both
+    from one ``eigh`` of the stacked fold and full-data Grams.
 
-    Returns ``(v, lam)``; ties at the CV minimum go to the largest penalty.
+    Returns ``(v, lam)``; ties at the CV minimum go to the largest penalty,
+    and the unpenalized fit is least squares.
     """
     A = np.asarray(A, float)
     u = np.asarray(u, float)
     # unpenalized fit appended so noiseless in-class data can win exactly
     lams = np.append(lambda_grid(A, u, np.ones(A.shape[1]), decades, points), 0.0)
-    lam = cross_validate(A, u, lams, folds, seed, _ridge_fold_errors).chosen
-    if lam == 0.0:
-        return np.linalg.lstsq(A, u, rcond=None)[0], 0.0
-    e, V = np.linalg.eigh(A.T @ A)
-    e = np.maximum(e, 0.0)
-    v = V @ (V.T @ (A.T @ u) / (e + lam))
-    return v, lam
+    cv = cross_validate(A, u, lams, folds, seed, _ridge_fold_errors)
+    return cv.fit, cv.chosen
 
 
 def local_gramian(tt: TensorTrain, m: int, gramians) -> np.ndarray:
@@ -290,13 +302,12 @@ def local_gramian(tt: TensorTrain, m: int, gramians) -> np.ndarray:
 
 def _cv_lasso(A: np.ndarray, u: np.ndarray, folds: int, seed: int,
               decades: float, points: int):
-    """The LASSO microstep body: cross-validated lambda, LASSO solve, least
-    squares on the selected support.  Returns ``(v, lam)``."""
-    omega = np.ones(A.shape[1])
-    cv = cv_select_lambda(A, u, omega, folds=folds, seed=seed,
+    """The LASSO microstep body: one stacked homotopy pass gives the
+    cross-validated lambda and the full-data LASSO fit at it, refitted by
+    least squares on its support.  Returns ``(v, lam)``."""
+    cv = cv_select_lambda(A, u, np.ones(A.shape[1]), folds=folds, seed=seed,
                           decades=decades, points=points)
-    v = lasso_solve(LassoProblem(A, u, omega, cv.chosen))
-    return debias_on_support(A, u, v), cv.chosen
+    return debias_on_support(A, u, cv.fit), cv.chosen
 
 
 def microstep_rals(A: np.ndarray, u: np.ndarray, H: np.ndarray, folds: int = 10,

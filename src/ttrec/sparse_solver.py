@@ -6,8 +6,10 @@ factor).  On the Gram ``G = A^T A``, ``b = A^T y`` it reads ``x^T G x -
 is piecewise linear in ``lam``.  The homotopy (LARS-lasso) method of
 Osborne, Presnell & Turlach (2000) and Efron, Hastie, Johnstone &
 Tibshirani (2004) follows it from ``lam_max`` down, one active-set solve per
-breakpoint, so both the final solve and every cross-validation fold get
-exact solutions and exact supports at their lambdas.  Optimality is
+breakpoint, so every path gets exact solutions and exact supports at its
+lambdas.  Cross-validation runs the folds' paths and the full-data path as
+one stack: one pass scores the folds and gives the fit at the chosen
+lambda.  ``lasso_solve`` is the same path on a stack of one.  Optimality is
 certified by the KKT conditions: for active coordinates ``|2 A_k^T (A v -
 y) + lam * omega_k * sign(v_k)| <= tol`` and for inactive ones ``|2 A_k^T
 (A v - y)| <= lam * omega_k + tol``.
@@ -80,17 +82,20 @@ def _kkt_from_gram(Gx, b, thresholds, x) -> float:
 def _homotopy(G, b, h, lams):
     """Exact paths of ``x^T G_f x - 2 b_f^T x + 2 lam sum_k h_k |x_k|`` over ``lams``.
 
-    ``G`` is (F, p, p), ``b`` (F, p) and ``lams`` descending.  Yields
-    ``(f, S, q, w, lo, hi)``, one segment of problem ``f``'s path that holds
-    grid points: at ``lams[lo:hi]`` the minimizer is ``w - lam * q`` on the
-    coordinates ``S`` and zero elsewhere.  On a segment with signs ``s``,
-    ``G_SS [q, w] = [h_S * s, b_S]``, so ``q`` is the path direction and
-    ``w`` the least-squares refit on ``S``.  Between grid points a path
-    moves from breakpoint to breakpoint: a coordinate joins where its
-    correlation ``c = b - G x`` reaches ``+-lam * h``, and leaves where its
-    value crosses zero.  The F paths advance one breakpoint each per
-    iteration, so the array operations of a step are shared; a shorter
-    support is padded with identity rows.
+    ``G`` is (F, p, p), ``b`` (F, p) and ``lams`` descending.  Yields one
+    batch per step, ``(f, k, S, q, w, lo, hi)``: row ``i`` is a segment of
+    problem ``f[i]``'s path that holds grid points, and at
+    ``lams[lo[i]:hi[i]]`` the minimizer is ``w[i] - lam * q[i]`` on the
+    coordinates ``S[i]`` and zero elsewhere.  Only the first ``k[i]``
+    entries of ``S[i]``, ``q[i]`` and ``w[i]`` belong to the support, in
+    the order its coordinates joined; ``q`` and ``w`` are zero past them.
+    On a segment with signs ``s``, ``G_SS [q, w] = [h_S * s, b_S]``, so
+    ``q`` is the path direction and ``w`` the least-squares refit on ``S``.
+    Between grid points a path moves from breakpoint to breakpoint: a
+    coordinate joins where its correlation ``c = b - G x`` reaches ``+-lam
+    * h``, and leaves where its value crosses zero.  The F paths advance
+    one breakpoint each per iteration, so the array operations of a step
+    are shared; a shorter support is padded with identity rows.
 
     What keeps it exact on degenerate data: ``c`` and ``x`` are recomputed
     from each segment's solve, never accumulated; a column whose Schur
@@ -104,41 +109,57 @@ def _homotopy(G, b, h, lams):
     """
     F, p = b.shape
     n_grid = len(lams)
+    problems = np.arange(F)
     ratio = np.abs(b) / h
     first = ratio.argmax(1)
-    lam = ratio[np.arange(F), first]      # x = 0 from here up
+    lam = ratio[problems, first]          # x = 0 from here up
     lo = np.count_nonzero(lams >= lam[:, None], axis=1)
-    for f in np.nonzero(lo)[0]:
-        yield f, np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), 0, lo[f]
-    S = [[j] for j in first.tolist()]
-    signs = [[1.0 if b[f, j] > 0 else -1.0] for f, j in enumerate(first)]
+    f = np.flatnonzero(lo)
+    if f.size:
+        none = np.zeros((f.size, 0))
+        yield (f, np.zeros(f.size, dtype=np.intp), none.astype(np.intp), none, none,
+               np.zeros(f.size, dtype=np.intp), lo[f])
+    # supports in join order and their signs, padded with column 0 and sign
+    # 0; the last of the p + 1 columns is always padding
+    S = np.zeros((F, p + 1), dtype=np.intp)
+    signs = np.zeros((F, p + 1))
+    S[:, 0] = first
+    signs[:, 0] = np.where(b[problems, first] > 0, 1.0, -1.0)
+    size = np.ones(F, dtype=np.intp)
     xq = np.zeros((F, p, 2))              # each problem's x and path direction q
     active = np.zeros((F, p), dtype=bool)
-    active[np.arange(F), first] = True
-    grid = np.arange(n_grid)
-    live = [f for f in range(F) if lo[f] < n_grid]
+    active[problems, first] = True
+    neg_lams = -lams                      # ascending, for searchsorted
+    columns = np.arange(p + 1)
+    fl = np.flatnonzero(lo < n_grid)      # the live problems
     for _ in range(10 * p + 100):         # a few p steps per path in practice
-        if not live:
+        if not fl.size:
             return
-        fl = np.array(live)
-        rows = np.arange(len(live))
-        sizes = [len(S[f]) for f in live]
-        k_max = max(sizes)
-        Sa = np.array([S[f] + [0] * (k_max - len(S[f])) for f in live], dtype=np.intp)
-        s = np.array([signs[f] + [0.0] * (k_max - len(S[f])) for f in live])
+        rows = np.arange(fl.size)
+        sizes = size[fl]
+        k_max = sizes.max()
+        Sa = S[fl, :k_max]
+        s = signs[fl, :k_max]
         pad = s == 0.0
+        padded = k_max > sizes.min()
         GSS = G[fl[:, None, None], Sa[:, :, None], Sa[:, None, :]]
-        rhs = np.stack((b[fl[:, None], Sa], h[Sa] * s), axis=2)
-        if k_max > min(sizes):
+        rhs = np.empty((fl.size, k_max, 2))
+        rhs[:, :, 0] = b[fl[:, None], Sa]
+        np.multiply(h[Sa], s, out=rhs[:, :, 1])
+        if padded:
             GSS[pad[:, None, :] | pad[:, :, None]] = 0.0
             m, k = np.nonzero(pad)
             GSS[m, k, k] = 1.0
             rhs[pad] = 0.0
         # G_SS [w, q] = [b_S, h_S * s]
         wq = _solve(GSS, rhs)
+        if padded:
+            wq[pad] = 0.0
         w, q = wq[:, :, 0], wq[:, :, 1]
+        on = ~pad
+        sf, sj = fl.repeat(sizes), Sa[on]   # (problem, coordinate) of each support entry
         xq[fl, :, 1] = 0.0
-        xq[fl.repeat(sizes), Sa[~pad], 1] = q[~pad]
+        xq[sf, sj, 1] = q[on]
         Gxq = np.matmul(G, xq)[fl]        # all F: no copy of the Grams
         c = b[fl] - Gxq[:, :, 0]
         a = Gxq[:, :, 1]                  # rate of change of c as lam falls
@@ -154,56 +175,67 @@ def _homotopy(G, b, h, lams):
         # leave: a coordinate moving towards zero reaches it (the last column
         # keeps argmin defined should rounding ever empty a support)
         sq = s * q
-        g_leave = np.full((len(live), k_max + 1), np.inf)
+        g_leave = np.full((fl.size, k_max + 1), np.inf)
         np.divide(np.maximum(s * (w - lam_f[:, None] * q), 0.0), -sq,
                   out=g_leave[:, :-1], where=sq < 0)
         kl = g_leave.argmin(1)
+        gamma_leave = g_leave[rows, kl]
         while True:
             jn = g_join.argmin(1)
-            join = g_join[rows, jn] < g_leave[rows, kl]
+            gamma_join = g_join[rows, jn]
+            join = gamma_join < gamma_leave
+            if not join.any():
+                break
             # a column in the span of its support (G_jj - G_jS G_SS^-1 G_Sj
             # about 0) never has to join: its correlation moves with the
             # support's
-            col = G[fl[:, None], Sa, jn[:, None]] * ~pad
+            col = G[fl[:, None], Sa, jn[:, None]] * on
             Gjj = G[fl, jn, jn]
             spanned = join & (Gjj - (col * _solve(GSS, col[:, :, None])[:, :, 0]).sum(1)
                               <= 1e-11 * Gjj)
             if not spanned.any():
                 break
             g_join[rows[spanned], jn[spanned]] = np.inf
-        del GSS   # the next step's gather would otherwise hold two of them
-        lam_next = lam_f - np.where(join, g_join[rows, jn], g_leave[rows, kl])
-        lo_f = lo[fl]
-        hi_f = lo_f + np.count_nonzero((lams > lam_next[:, None]) & (grid >= lo_f[:, None]),
-                                       axis=1)
-        # a path with no breakpoint left (lam_next = -inf) is done
-        x_next = w - np.maximum(lam_next, 0.0)[:, None] * q
+        lam_next = lam_f - np.where(join, gamma_join, gamma_leave)
         plus = g_up[rows, jn] <= g_down[rows, jn]
-        stepped, live = live, []
-        for i, f in enumerate(stepped):
-            k = sizes[i]
-            if hi_f[i] > lo_f[i]:
-                yield f, Sa[i, :k], q[i, :k], w[i, :k], lo_f[i], hi_f[i]
-                lo[f] = hi_f[i]
-                if lo[f] == n_grid:
-                    continue
-            xq[f, S[f], 0] = x_next[i, :k]
-            if join[i]:
-                S[f].append(jn[i])
-                signs[f].append(1.0 if plus[i] else -1.0)
-                active[f, jn[i]] = True
-            else:
-                left = S[f].pop(kl[i])
-                signs[f].pop(kl[i])
-                xq[f, left, 0] = 0.0
-                active[f, left] = False
-            lam[f] = lam_next[i]
-            live.append(f)
+        # the next step's gather of G_SS is the peak of a CV call's memory:
+        # none of this step's temporaries is held through it
+        del GSS, rhs, Gxq, c, a, up, down, g_up, g_down, g_join, g_leave, sq
+        lo_f = lo[fl]
+        # the grid points above lam_next form a prefix of lams
+        hi_f = np.maximum(lo_f, np.searchsorted(neg_lams, -lam_next))
+        x_next = w - np.maximum(lam_next, 0.0)[:, None] * q
+        seg = hi_f > lo_f
+        if seg.all():
+            yield fl, sizes, Sa, q, w, lo_f, hi_f
+        elif seg.any():
+            yield fl[seg], sizes[seg], Sa[seg], q[seg], w[seg], lo_f[seg], hi_f[seg]
+        lo[fl] = hi_f
+        # the move to the next breakpoint; a path with no breakpoint left
+        # (lam_next = -inf) is done, and nothing reads its state again
+        xq[sf, sj, 0] = x_next[on]
+        if join.any():
+            fj, at = fl[join], sizes[join]
+            S[fj, at] = jn[join]
+            signs[fj, at] = np.where(plus[join], 1.0, -1.0)
+            active[fj, jn[join]] = True
+        if not join.all():
+            fv, kv = fl[~join], kl[~join]
+            left = S[fv, kv]
+            xq[fv, left, 0] = 0.0
+            active[fv, left] = False
+            # drop position kv; the padding of the last column fills the end
+            keep = columns != kv[:, None]
+            S[fv, :p] = S[fv][keep].reshape(fv.size, p)
+            signs[fv, :p] = signs[fv][keep].reshape(fv.size, p)
+        size[fl] += np.where(join, 1, -1)
+        lam[fl] = lam_next
+        go = hi_f < n_grid
+        fl = fl[go]
     # step budget spent (never seen): extend the last segments; the KKT
-    # certificate of lasso_solve reports the error
-    for i, f in enumerate(stepped):
-        if f in live:
-            yield f, Sa[i, :sizes[i]], q[i, :sizes[i]], w[i, :sizes[i]], lo[f], n_grid
+    # certificate reports the error
+    if fl.size:
+        yield fl, sizes[go], Sa[go], q[go], w[go], lo[fl], np.full(fl.size, n_grid)
 
 
 def _solve(M, rhs):
@@ -226,29 +258,37 @@ def kkt_residual(problem: LassoProblem, v: np.ndarray) -> float:
     return _kkt_from_gram(Gx, b, problem.lam * problem.omega / 2.0, v)
 
 
+def _certified(problem: LassoProblem, x: np.ndarray) -> np.ndarray:
+    """``x``, the path's solution of ``problem``, checked by the KKT
+    conditions: warns with the residual if they are not met.  At ``lam = 0``
+    the least-squares solution instead."""
+    if problem.lam == 0.0:
+        return np.linalg.lstsq(problem.A, problem.y, rcond=None)[0]
+    # absolute 1e-8 on unit-scale data, relative guard for large magnitudes
+    b = problem.A.T @ problem.y
+    tol = max(KKT_TOL, 1e-12 * 2.0 * float(np.abs(b).max(initial=0.0)))
+    res = kkt_residual(problem, x)
+    if res > tol:
+        warnings.warn(f"LASSO path at lambda {problem.lam:.3e}: KKT residual {res:.3e} "
+                      f"above {tol:.1e}", ConvergenceWarning)
+    return x
+
+
 def lasso_solve(problem: LassoProblem) -> np.ndarray:
     """Minimizer of the weighted LASSO objective: the homotopy path from
-    ``lam_max`` stopped at ``problem.lam``.
+    ``lam_max`` stopped at ``problem.lam``, a stack of one.
 
     Certified by the KKT conditions; warns with the residual if they are
     not met.  ``lam = 0`` falls back to least squares.
     """
-    if problem.lam == 0.0:
-        v, *_ = np.linalg.lstsq(problem.A, problem.y, rcond=None)
-        return v
-    G = problem.A.T @ problem.A
-    b = problem.A.T @ problem.y
-    x = np.zeros(len(b))
-    for _, S, q, w, _, _ in _homotopy(G[None], b[None], problem.omega / 2.0,
-                                      np.array([problem.lam])):
-        x[S] = w - problem.lam * q
-    # absolute 1e-8 on unit-scale data, relative guard for large magnitudes
-    tol = max(KKT_TOL, 1e-12 * 2.0 * float(np.abs(b).max(initial=0.0)))
-    res = kkt_residual(problem, x)
-    if res > tol:
-        warnings.warn(f"lasso_solve: KKT residual {res:.3e} above {tol:.1e}",
-                      ConvergenceWarning)
-    return x
+    x = np.zeros(problem.A.shape[1])
+    if problem.lam > 0.0:
+        G = problem.A.T @ problem.A
+        b = problem.A.T @ problem.y
+        for _, k, S, q, w, _, _ in _homotopy(G[None], b[None], problem.omega / 2.0,
+                                             np.array([problem.lam])):
+            x[S[0, :k[0]]] = w[0, :k[0]] - problem.lam * q[0, :k[0]]
+    return _certified(problem, x)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +297,14 @@ def lasso_solve(problem: LassoProblem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CvReport:
+    """The grid, its fold-mean errors, the chosen lambda (the largest one at
+    the minimum) and ``fit``, the full-data minimizer at ``chosen``."""
+
     lambdas: np.ndarray       # grid, descending
     mean_errors: np.ndarray   # mean held-out squared error per lambda
     chosen: float
     seed: int
+    fit: np.ndarray = None    # (p,) fit on all rows at ``chosen``
 
     def __post_init__(self):
         errs = np.asarray(self.mean_errors, dtype=float)
@@ -303,57 +347,96 @@ def debias_on_support(A, y, v):
     return out
 
 
-def _held_out_error(A, y, v) -> float:
-    r = y - A @ v
-    return (r @ r) / len(y)
+def _held_out_errors(A, y, rows, n_rows, S, w) -> np.ndarray:
+    """Mean squared held-out error of each refit ``w[i]`` on the columns
+    ``S[i]``, over the rows ``rows[i, :n_rows[i]]`` of ``(A, y)``; entries
+    of ``w`` past a support are zero, so their columns add nothing."""
+    r = y[rows] - np.matmul(A[rows[:, :, None], S[:, None, :]], w[:, :, None])[:, :, 0]
+    r[np.arange(rows.shape[1]) >= n_rows[:, None]] = 0.0
+    return np.einsum("ij,ij->i", r, r) / n_rows
 
 
-def _solve_path(G, b, h, lams, A, y, holds) -> np.ndarray:
-    """Held-out error at each (grid lambda, fold) of cross-validation.
+def _solve_path(G, b, h, lams, A, y, holds):
+    """Held-out errors (L, F) of the F folds and the full-data path (L, p).
 
-    Runs the exact paths on the fold Grams ``(G, b)`` and scores the
-    least-squares refit of each support that fold ``f``'s path visits on
-    its held-out rows ``holds[f]`` of ``(A, y)``, once per distinct (fold,
-    support).
+    Runs the exact paths on the stacked Grams ``(G, b)``, the folds' and
+    then all rows', and scores the least-squares refit of each support that
+    fold ``f``'s path visits on its held-out rows ``holds[f]`` of ``(A,
+    y)``, once per distinct (fold, support); the pairs new at a step are
+    scored together.  The last problem's path gives the full-data solution
+    at every grid lambda.
     """
-    errors = np.empty((len(lams), len(holds)))
+    F = len(holds)
+    n_rows = np.array([len(hold) for hold in holds])
+    rows = np.zeros((F, n_rows.max()), dtype=np.intp)   # padded rows are masked
+    for f, hold in enumerate(holds):
+        rows[f, :len(hold)] = hold
+    errors = np.empty((len(lams), F))
+    X = np.zeros((len(lams), A.shape[1]))
     scored = {}  # (fold, support) -> held-out error of its refit
-    for f, S, _, w, lo, hi in _homotopy(G, b, h, lams):
-        key = (f, np.sort(S).tobytes())
-        err = scored.get(key)
-        if err is None:
-            hold = holds[f]
-            err = scored[key] = _held_out_error(A[np.ix_(hold, S)], y[hold], w)
-        errors[lo:hi, f] = err
-    return errors
+    for f, k, S, q, w, lo, hi in _homotopy(G, b, h, lams):
+        new, keys = [], []
+        # a support's coordinates in ascending order, then the padding
+        ordered = np.sort(np.where(np.arange(S.shape[1]) < k[:, None], S, -1), axis=1)
+        for i, (fi, ki, a, z) in enumerate(zip(f.tolist(), k.tolist(), lo.tolist(),
+                                              hi.tolist())):
+            if fi == F:
+                X[a:z, S[i, :ki]] = w[i, :ki] - lams[a:z, None] * q[i, :ki]
+                continue
+            key = (fi, ordered[i, -ki:].tobytes() if ki else b"")
+            err = scored.get(key)
+            if err is None:
+                new.append(i)
+                keys.append(key)
+            else:
+                errors[a:z, fi] = err
+        if new:
+            fn = f[new]
+            for i, key, err in zip(new, keys, _held_out_errors(A, y, rows[fn], n_rows[fn],
+                                                               S[new], w[new]).tolist()):
+                scored[key] = err
+                errors[lo[i]:hi[i], f[i]] = err
+    return errors, X
 
 
 def _fold_grams(A, y, holds):
-    """The Gram ``A_fit^T A_fit`` and ``A_fit^T y_fit`` of each fold's
-    training rows, shapes (F, p, p) and (F, p)."""
-    G = np.empty((len(holds), A.shape[1], A.shape[1]))
-    b = np.empty((len(holds), A.shape[1]))
+    """The Grams ``A_fit^T A_fit`` and ``A_fit^T y_fit`` of each fold's
+    training rows and then of all rows, shapes (F + 1, p, p) and (F + 1, p)."""
+    F, (n, p) = len(holds), A.shape
+    G = np.empty((F + 1, p, p))
+    b = np.empty((F + 1, p))
     for f, hold in enumerate(holds):
-        A_fit = np.delete(A, hold, axis=0)
+        fit = np.ones(n, dtype=bool)
+        fit[hold] = False
+        A_fit = A[fit]
         np.matmul(A_fit.T, A_fit, out=G[f])
-        np.matmul(A_fit.T, np.delete(y, hold), out=b[f])
+        np.matmul(A_fit.T, y[fit], out=b[f])
+    np.matmul(A.T, A, out=G[-1])
+    np.matmul(A.T, y, out=b[-1])
     return G, b
 
 
 def cross_validate(A, y, lams, folds: int, seed: int, fold_errors) -> CvReport:
-    """k-fold CV over the descending grid ``lams``: ``fold_errors(G, b, lams,
-    A, y, holds)`` scores the fits on the fold Grams, shape (L, F); among
-    lambdas tying at the minimum fold mean, the largest wins."""
+    """k-fold CV over the descending grid ``lams``, with the full-data fit in
+    the same stack.
+
+    ``fold_errors(G, b, lams, A, y, holds)`` gets the F fold Grams and then
+    all rows' and returns the (L, F) held-out errors of the folds' fits and
+    ``fit(k)``, the full-data fit at ``lams[k]``.  Among lambdas tying at
+    the minimum fold mean, the largest wins.
+    """
     holds = fold_indices(A.shape[0], folds, seed)
     G, b = _fold_grams(A, y, holds)
-    mean_errors = fold_errors(G, b, lams, A, y, holds).mean(axis=1)
-    chosen = float(lams[np.argmax(mean_errors <= mean_errors.min())])  # first = largest
-    return CvReport(lams, mean_errors, chosen, seed)
+    errors, fit = fold_errors(G, b, lams, A, y, holds)
+    mean_errors = errors.mean(axis=1)
+    k = int(np.argmax(mean_errors <= mean_errors.min()))  # first = largest
+    return CvReport(lams, mean_errors, float(lams[k]), seed, fit(k))
 
 
 def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
                      decades: float = 4.0, points: int = 25) -> CvReport:
-    """Pick the regularization strength by k-fold cross-validation.
+    """Pick the regularization strength by k-fold cross-validation and fit
+    the LASSO at it on all rows.
 
     The validation loss is the same squared empirical norm as the fit (the
     design rows already carry sqrt-weights).  The held-out error is always
@@ -362,11 +445,17 @@ def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
     the minimum, the largest (sparsest model) wins.  The refit is the
     ``w`` of the path segment that holds the support, so each distinct
     (fold, support) pair is refitted and scored once and its held-out
-    error reused by every lambda that selects it.
+    error reused by every lambda that selects it.  The full-data problem
+    runs as one more path in the folds' stack; its solution at the chosen
+    lambda is the report's ``fit``, certified as ``lasso_solve``'s is.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
+
+    def lasso_fits(G, b, lams, A, y, holds):
+        errors, X = _solve_path(G, b, omega / 2.0, lams, A, y, holds)
+        return errors, lambda k: _certified(LassoProblem(A, y, omega, lams[k]), X[k])
+
     return cross_validate(A, y, lambda_grid(A, y, omega, decades, points), folds, seed,
-                          lambda G, b, lams, A, y, holds:
-                          _solve_path(G, b, omega / 2.0, lams, A, y, holds))
+                          lasso_fits)

@@ -342,9 +342,13 @@ def _phase_cell(params) -> float:
         tvals = predict(tt, basis, tpts)
         try:
             report = recover(SampleSet(pts, vals), replace(cfg, seed=rep), basis)
-            errs.append(relative_error(report.predict(tpts), tvals))
         except (RecoveryError, np.linalg.LinAlgError):
+            report = None
+        # a run that aborts before its first sweep has only the untrained start
+        if report is None or report.best_sweep < 0:
             errs.append(np.nan)
+        else:
+            errs.append(relative_error(report.predict(tpts), tvals))
     return float(np.mean(errs))
 
 

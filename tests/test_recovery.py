@@ -153,11 +153,20 @@ def test_ridge_cv_matches_reference_fold_loop(kind):
         lams, ref_errors, ref_lam = reference_ridge_cv(A, u, 10, seed)
         report = cross_validate(A, u, lams, 10, seed, _ridge_fold_errors)
         assert report.chosen == ref_lam
-        assert microstep_l2(A, u, 10, seed)[1] == ref_lam
+        v, lam = microstep_l2(A, u, 10, seed)
+        assert lam == ref_lam
+        # the fit read from the stacked eigh is bit for bit the separate
+        # full-data eigendecomposition's (least squares at lam = 0)
+        if lam == 0.0:
+            separate = np.linalg.lstsq(A, u, rcond=None)[0]
+        else:
+            e, V = np.linalg.eigh(A.T @ A)
+            separate = V @ (V.T @ (A.T @ u) / (np.maximum(e, 0.0) + lam))
+        assert np.array_equal(v, separate)
         rel = np.abs(report.mean_errors - ref_errors) / ref_errors
         assert rel[:-1].max() <= 1e-13
         holds = fold_indices(len(u), 10, seed)
-        e = np.linalg.eigvalsh(_fold_grams(A, u, holds)[0])
+        e = np.linalg.eigvalsh(_fold_grams(A, u, holds)[0][:-1])   # the folds' Grams
         keep = e > PINV_RTOL * e[:, -1:]
         ranks = [np.linalg.matrix_rank(np.delete(A, hold, axis=0)) for hold in holds]
         if np.array_equal(keep.sum(axis=1), ranks):
@@ -171,7 +180,8 @@ def test_cv_ties_go_to_largest_lambda_in_both_cvs():
     # the driver's rule, whatever the scorer: two minima, the first wins
     errs = np.array([3.0, 1.0, 2.0, 1.0])[:, None] * np.ones((1, 5))
     lams = np.array([8.0, 4.0, 2.0, 1.0])
-    assert cross_validate(A, A[:, 0], lams, 5, 0, lambda *args: errs).chosen == 4.0
+    assert cross_validate(A, A[:, 0], lams, 5, 0,
+                          lambda *args: (errs, lambda k: None)).chosen == 4.0
     # LASSO: a noiseless one-sparse target refits exactly on {3} over most
     # of the grid, so those lambdas tie bit for bit
     truth = np.zeros(8)
@@ -228,6 +238,27 @@ def test_microstep_rals_identity_equals_r2als():
     v3, lam3 = microstep_rals(A, u, H, folds=5, seed=0)
     v4, lam4 = microstep_r2als(A @ W, u, folds=5, seed=0)
     assert np.array_equal(v3, W @ v4) and lam3 == lam4
+
+
+def test_lasso_microsteps_run_one_homotopy_pass(monkeypatch):
+    # the cross-validation folds and the full-data fit share one stack
+    import ttrec.sparse_solver as sp
+    homotopy = sp._homotopy
+    stacks = []
+
+    def counting(G, b, h, lams):
+        stacks.append(len(G))
+        return homotopy(G, b, h, lams)
+
+    monkeypatch.setattr(sp, "_homotopy", counting)
+    rng = np.random.default_rng(28)
+    A = rng.standard_normal((40, 6))
+    u = A @ rng.standard_normal(6) + 0.1 * rng.standard_normal(40)
+    microstep_r2als(A, u, folds=5, seed=0)
+    assert stacks == [6]
+    stacks.clear()
+    microstep_rals(A, u, np.diag(np.arange(1.0, 7.0)), folds=5, seed=0)
+    assert stacks == [6]
 
 
 def test_microstep_rals_diagonal_equals_weighted_lasso():

@@ -9,7 +9,7 @@ from ttrec.sparse_solver import (KKT_TOL, ConvergenceWarning, CvReport,
                                  cv_select_lambda, debias_on_support,
                                  fold_indices, kkt_residual, lambda_grid,
                                  lasso_solve, soft_threshold)
-from ttrec.sparse_solver import _homotopy, _kkt_from_gram
+from ttrec.sparse_solver import _fold_grams, _homotopy, _kkt_from_gram
 
 from oracles import (lasso_objective, prox_gradient_lasso, reference_cd_gram,
                      reference_cv_errors)
@@ -117,15 +117,21 @@ def test_nonconvergence_warns_with_residual(monkeypatch):
     assert kkt_residual(prob, v) <= KKT_TOL
 
     def wrong_path(G, b, h, lams):
-        yield 0, np.array([0]), np.zeros(1), np.ones(1), 0, len(lams)
+        # every problem's path claims x_0 = 1 and nothing else at every lambda
+        F = len(b)
+        yield (np.arange(F), np.ones(F, dtype=np.intp), np.zeros((F, 1), dtype=np.intp),
+               np.zeros((F, 1)), np.ones((F, 1)), np.zeros(F, dtype=np.intp),
+               np.full(F, len(lams)))
 
     monkeypatch.setattr(sp, "_homotopy", wrong_path)
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always")
-        lasso_solve(prob)
-    assert len(wlist) == 1
-    assert issubclass(wlist[0].category, ConvergenceWarning)
-    assert "residual" in str(wlist[0].message)
+    for solve in (lambda: lasso_solve(prob),
+                  lambda: cv_select_lambda(A, y, np.ones(25), folds=5, seed=0)):
+        with warnings.catch_warnings(record=True) as wlist:
+            warnings.simplefilter("always")
+            solve()
+        assert len(wlist) == 1
+        assert issubclass(wlist[0].category, ConvergenceWarning)
+        assert "residual" in str(wlist[0].message)
 
 
 def test_support_certifies_variation_bound():
@@ -233,6 +239,14 @@ def test_cv_tie_break_prefers_largest_lambda():
 # the homotopy path against its contracts and the reference descent
 
 
+def _segments(G, b, h, lams):
+    """The segments of ``_homotopy``'s batches one at a time: ``(f, S, q, w,
+    lo, hi)`` with the support ``S`` and ``q``, ``w`` on it."""
+    for f, k, S, q, w, lo, hi in _homotopy(G, b, h, lams):
+        for i, ki in enumerate(k):
+            yield f[i], S[i, :ki], q[i, :ki], w[i, :ki], lo[i], hi[i]
+
+
 def _path(G, b, h, lams):
     """The paths' solutions at every grid lambda: (L, p) for one problem
     ``G`` (p, p), (L, F, p) for a stack of F problems run together."""
@@ -240,7 +254,7 @@ def _path(G, b, h, lams):
     if one:
         G, b = G[None], b[None]
     X = np.zeros((len(lams),) + b.shape)
-    for f, S, q, w, lo, hi in _homotopy(G, b, h, lams):
+    for f, S, q, w, lo, hi in _segments(G, b, h, lams):
         X[lo:hi, f, S] = w - lams[lo:hi, None] * q
     return X[:, 0] if one else X
 
@@ -322,23 +336,55 @@ def test_cv_select_lambda_matches_reference():
         assert np.allclose(report.mean_errors[agree], mean_errors[agree], rtol=1e-9, atol=0.0)
 
 
+def test_cv_fit_has_lasso_solve_support():
+    # the full-data path run in the folds' stack reaches lasso_solve's support
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        n, p = int(rng.integers(40, 80)), int(rng.integers(3, 15))
+        A = rng.standard_normal((n, p))
+        truth = np.where(rng.random(p) < 0.4, rng.standard_normal(p), 0.0)
+        y = A @ truth + 0.1 * rng.standard_normal(n)
+        omega = rng.uniform(0.5, 2.0, p)
+        cv = cv_select_lambda(A, y, omega, folds=5, seed=int(rng.integers(100)))
+        alone = lasso_solve(LassoProblem(A, y, omega, cv.chosen))
+        assert np.array_equal(np.nonzero(cv.fit)[0], np.nonzero(alone)[0])
+        assert np.allclose(cv.fit, alone, rtol=1e-10, atol=1e-12)
+
+
+def test_fold_grams_stack_folds_then_all_rows():
+    # each fold's Gram from its training rows, bit for bit the product of
+    # the rows np.delete leaves, and all rows' Gram last
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((53, 9))
+    y = rng.standard_normal(53)
+    holds = fold_indices(53, 10, 3)
+    G, b = _fold_grams(A, y, holds)
+    assert G.shape == (11, 9, 9) and b.shape == (11, 9)
+    for f, hold in enumerate(holds):
+        A_fit = np.delete(A, hold, axis=0)
+        assert np.array_equal(G[f], A_fit.T @ A_fit)
+        assert np.array_equal(b[f], A_fit.T @ np.delete(y, hold))
+    assert np.array_equal(G[-1], A.T @ A) and np.array_equal(b[-1], A.T @ y)
+
+
 def test_cv_refits_each_fold_support_once(monkeypatch):
     import ttrec.sparse_solver as sp
-    held_out_error = sp._held_out_error
+    held_out_errors = sp._held_out_errors
     calls = []
 
-    def counting(A_hold, y_hold, v):
-        calls.append(1)
-        return held_out_error(A_hold, y_hold, v)
+    def counting(A, y, rows, n_rows, S, w):
+        errs = held_out_errors(A, y, rows, n_rows, S, w)
+        calls.extend([1] * len(errs))    # one per (fold, support) scored
+        return errs
 
-    monkeypatch.setattr(sp, "_held_out_error", counting)
+    monkeypatch.setattr(sp, "_held_out_errors", counting)
     revisits = 0
     for seed, n, p in ((17, 60, 10), (0, 30, 20)):
         A, y, G, b = _fold_problem(np.random.default_rng(seed), n, p, 5)
         omega = np.ones(p)
         lams = lambda_grid(A, y, omega)
         fits = [np.isin(np.arange(n), hold, invert=True) for hold in fold_indices(n, 5, 0)]
-        segments = list(_homotopy(G, b, omega / 2.0, lams))
+        segments = list(_segments(G, b, omega / 2.0, lams))
         for f, S, _, w, _, _ in segments:
             # each segment's w is the least-squares refit on its support
             if S.size:
@@ -384,7 +430,12 @@ def test_path_stress_degenerate_problems():
         assert res <= max(KKT_TOL, 1e-12 * 2.0 * np.abs(A.T @ y).max())
         worst = max(worst, res)
         if i % 10 == 0:
-            cv_select_lambda(A, y, omega, folds=4, seed=i)
+            # the full-data fit rides in the folds' stack and is certified too
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ConvergenceWarning)
+                cv = cv_select_lambda(A, y, omega, folds=4, seed=i)
+            fit_res = kkt_residual(LassoProblem(A, y, omega, cv.chosen), cv.fit)
+            assert fit_res <= max(KKT_TOL, 1e-12 * 2.0 * np.abs(A.T @ y).max())
     assert worst <= 1e-8
 
 

@@ -266,6 +266,19 @@ def test_phase_diagram_config_errors_propagate(monkeypatch):
     assert np.isnan(grid[0, 0])
 
 
+def test_phase_diagram_abort_before_first_sweep_is_nan_cell(monkeypatch):
+    # recover catches a microstep's failure and returns the untrained start
+    # with best_sweep -1; that realization has no model to score
+    import ttrec.recovery as rec
+
+    def failing(*args, **kwargs):
+        raise RecoveryError("local Gramian scale overflows")
+
+    monkeypatch.setattr(rec, "microstep_r2als", failing)
+    grid = phase_diagram([3], [60], realizations=1, dimension=4, n_test=10)
+    assert np.isnan(grid[0, 0])
+
+
 def test_phase_diagram_too_few_samples_for_cv_is_nan_cell():
     # 11 samples leave 9 training rows for 10 CV folds
     grid = phase_diagram([2], [11], realizations=2, dimension=4, n_test=10)
