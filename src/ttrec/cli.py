@@ -165,18 +165,14 @@ def read_recovery_config(path):
     cfg_kwargs = {}
     extras = {"basis": "legendre", "dimension": 8, "test_fraction": 0.1}
     for key, raw in parser.items("recovery"):
-        if key in RECOVERY_KEYS:
-            try:
-                cfg_kwargs[key] = RECOVERY_KEYS[key](raw)
-            except ValueError:
-                raise CliError(f"{path}: bad value for {key}: {raw!r}")
-        elif key in EXTRA_KEYS:
-            try:
-                extras[key] = EXTRA_KEYS[key](raw)
-            except ValueError:
-                raise CliError(f"{path}: bad value for {key}: {raw!r}")
-        else:
+        table, into = ((RECOVERY_KEYS, cfg_kwargs) if key in RECOVERY_KEYS
+                       else (EXTRA_KEYS, extras))
+        if key not in table:
             raise CliError(f"{path}: unknown config key {key!r}")
+        try:
+            into[key] = table[key](raw)
+        except ValueError:
+            raise CliError(f"{path}: bad value for {key}: {raw!r}")
     if extras["dimension"] < 1:
         raise CliError(f"{path}: dimension must be >= 1")
     if not 0.0 <= extras["test_fraction"] < 1.0:
@@ -268,10 +264,13 @@ def cmd_recover(args) -> int:
         report = recover(samples, cfg, basis)
     except RecoveryError as exc:  # raised before the first sweep: bad data or config
         raise CliError(str(exc))
-    if not report.val_errors:
-        # no sweep completed: the only iterate is the untrained start
+    if report.best_sweep < 0:
+        # no sweep completed, or none has a finite validation error (they are
+        # NaN when the values overflow): the only iterate is the untrained start
+        what = ("no sweep completed" if not report.val_errors
+                else "no sweep has a finite validation error")
         reason = f" (aborted: {report.aborted})" if report.aborted else ""
-        print(f"recover: no sweep completed{reason}; no model written", file=sys.stderr)
+        print(f"recover: {what}{reason}; no model written", file=sys.stderr)
         return 1
     header = manifest_lines("recover", args, [args.config, args.samples],
                             [args.out, args.report or "-"])

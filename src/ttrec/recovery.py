@@ -233,11 +233,10 @@ def _ridge_fold_errors(G, b, lams, A, u, holds):
     dropped = (lams[:, None] == 0.0) & (ef <= PINV_RTOL * ef[:, :, -1:])   # (F, L, p)
     denom = np.where(dropped, np.inf, ef + lams[:, None])
     coeffs = (b[:F, None, :] @ V[:F]) / denom @ V[:F].swapaxes(1, 2)
-    # the held-out rows in fold order, each predicted by its own fold's fits
-    order, sizes = np.concatenate(holds), np.array([len(hold) for hold in holds])
-    fold = np.repeat(np.arange(F), sizes)
-    resid = u[order, None] - (coeffs @ A[order].T)[fold, :, np.arange(len(order))]
-    errors = (np.add.reduceat(resid**2, np.cumsum(sizes) - sizes) / sizes[:, None]).T
+    errors = np.empty((len(lams), F))
+    for f, hold in enumerate(holds):   # each fold's held-out rows by its own fits
+        resid = u[hold] - coeffs[f] @ A[hold].T
+        errors[:, f] = np.einsum("li,li->l", resid, resid) / len(hold)
 
     def fit(k):
         if lams[k] == 0.0:

@@ -16,6 +16,7 @@ y) + lam * omega_k * sign(v_k)| <= tol`` and for inactive ones ``|2 A_k^T
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -320,12 +321,15 @@ class CvReport:
         object.__setattr__(self, "mean_errors", errs)
 
 
+@functools.lru_cache(maxsize=16)
 def fold_indices(n: int, folds: int, seed: int):
-    """Deterministic fold assignment from a seed."""
+    """Deterministic fold assignment from a seed: a tuple of read-only index
+    arrays, drawn once per ``(n, folds, seed)``."""
     if n < folds:
         raise SparseSolverError(f"need at least {folds} samples for {folds}-fold CV")
-    rng = np.random.default_rng(seed)
-    return np.array_split(rng.permutation(n), folds)
+    perm = np.random.default_rng(seed).permutation(n)
+    perm.flags.writeable = False                  # and so are its splits
+    return tuple(np.array_split(perm, folds))
 
 
 def lambda_grid(A, y, omega, decades: float = 4.0, points: int = 25) -> np.ndarray:
@@ -360,42 +364,31 @@ def _solve_path(G, b, h, lams, A, y, holds):
     """Held-out errors (L, F) of the F folds and the full-data path (L, p).
 
     Runs the exact paths on the stacked Grams ``(G, b)``, the folds' and
-    then all rows', and scores the least-squares refit of each support that
-    fold ``f``'s path visits on its held-out rows ``holds[f]`` of ``(A,
-    y)``, once per distinct (fold, support); the pairs new at a step are
-    scored together.  The last problem's path gives the full-data solution
-    at every grid lambda.
+    then all rows', and scores the least-squares refit of every segment of
+    fold ``f``'s path on its held-out rows ``holds[f]`` of ``(A, y)``, the
+    folds' segments of a step in one batch.  Consecutive segments differ by
+    one coordinate, so a support a path returns to is rare; it is scored
+    again.  The last problem's path gives the full-data solution at every
+    grid lambda.
     """
     F = len(holds)
     n_rows = np.array([len(hold) for hold in holds])
     rows = np.zeros((F, n_rows.max()), dtype=np.intp)   # padded rows are masked
     for f, hold in enumerate(holds):
         rows[f, :len(hold)] = hold
+    grid = np.arange(len(lams))
     errors = np.empty((len(lams), F))
     X = np.zeros((len(lams), A.shape[1]))
-    scored = {}  # (fold, support) -> held-out error of its refit
     for f, k, S, q, w, lo, hi in _homotopy(G, b, h, lams):
-        new, keys = [], []
-        # a support's coordinates in ascending order, then the padding
-        ordered = np.sort(np.where(np.arange(S.shape[1]) < k[:, None], S, -1), axis=1)
-        for i, (fi, ki, a, z) in enumerate(zip(f.tolist(), k.tolist(), lo.tolist(),
-                                              hi.tolist())):
-            if fi == F:
-                X[a:z, S[i, :ki]] = w[i, :ki] - lams[a:z, None] * q[i, :ki]
-                continue
-            key = (fi, ordered[i, -ki:].tobytes() if ki else b"")
-            err = scored.get(key)
-            if err is None:
-                new.append(i)
-                keys.append(key)
-            else:
-                errors[a:z, fi] = err
-        if new:
-            fn = f[new]
-            for i, key, err in zip(new, keys, _held_out_errors(A, y, rows[fn], n_rows[fn],
-                                                               S[new], w[new]).tolist()):
-                scored[key] = err
-                errors[lo[i]:hi[i], f[i]] = err
+        fold = f < F
+        if not fold.all():      # the full-data segment, at most one per step
+            i = np.flatnonzero(~fold)[0]
+            a, z, ki = lo[i], hi[i], k[i]
+            X[a:z, S[i, :ki]] = w[i, :ki] - lams[a:z, None] * q[i, :ki]
+            f, S, w, lo, hi = f[fold], S[fold], w[fold], lo[fold], hi[fold]
+        err = _held_out_errors(A, y, rows[f], n_rows[f], S, w)
+        seg, at = np.nonzero((lo[:, None] <= grid) & (grid < hi[:, None]))
+        errors[at, f[seg]] = err[seg]
     return errors, X
 
 
@@ -443,9 +436,10 @@ def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
     that of the least-squares refit on each path solution's support, so
     lambda purely selects the sparsity pattern.  Among lambdas tying at
     the minimum, the largest (sparsest model) wins.  The refit is the
-    ``w`` of the path segment that holds the support, so each distinct
-    (fold, support) pair is refitted and scored once and its held-out
-    error reused by every lambda that selects it.  The full-data problem
+    ``w`` of the path segment that holds the support, so each fold segment
+    is scored once and its held-out error holds for every lambda on it; a
+    support a path leaves and returns to is scored again, which can move
+    its error by rounding (about 1e-13 relative).  The full-data problem
     runs as one more path in the folds' stack; its solution at the chosen
     lambda is the report's ``fit``, certified as ``lasso_solve``'s is.
     """

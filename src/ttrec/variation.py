@@ -138,14 +138,16 @@ def sample_optimal_weights(basis, order: int, n: int, seed: int = 0,
     if not np.isfinite(lo):
         raise VariationError("optimal-weight sampling needs a bounded domain")
     pts, q = uniform_grid(grid_size, lo, hi)
-    kvals = np.einsum("nk,nk->n", basis.evaluate(pts), basis.evaluate(pts))
+    B = basis.evaluate(pts)
+    kvals = np.einsum("nk,nk->n", B, B)
     density = q * kvals / basis.dimension
     cdf = np.cumsum(density)
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.0, (n, order))
     points = np.interp(u, np.concatenate([[0.0], cdf]), np.concatenate([[lo], pts]))
-    kp = np.einsum("nmk,nmk->nm", basis.evaluate(points), basis.evaluate(points))
+    B = basis.evaluate(points)
+    kp = np.einsum("nmk,nmk->nm", B, B)
     weights = np.prod(basis.dimension / kp, axis=1)
     return points, weights
 

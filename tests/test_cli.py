@@ -97,6 +97,27 @@ def test_recover_abort_before_first_sweep_writes_no_model(tmp_path, capsys, monk
     assert "internal error" not in err
 
 
+def test_recover_all_nan_validation_writes_no_model(tmp_path, capsys):
+    # values near 1e160 overflow the squared norms of the relative error, so
+    # every sweep's validation error is NaN and no sweep is the best
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-1, 1, (60, 3))
+    lines = ["y_1,y_2,y_3,u"] + [",".join(repr(float(v)) for v in row)
+                                 + f",{float(1e160 * np.exp(row.sum()))!r}" for row in pts]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, dimension=4, max_rank=2)
+    out = tmp_path / "model.tt"
+    report = tmp_path / "report.json"
+    rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+               "--out", str(out), "--report", str(report)])
+    assert rc == 1
+    assert not out.exists() and not report.exists()
+    err = capsys.readouterr().err
+    assert "no sweep has a finite validation error" in err
+    assert "internal error" not in err
+
+
 def test_recover_fewer_samples_than_cv_folds_exit_2(tmp_path, capsys):
     samples = write_constant_fixture(tmp_path, n=12)
     cfg = write_config(tmp_path)
@@ -115,7 +136,7 @@ def test_recover_fewer_samples_than_cv_folds_exit_2(tmp_path, capsys):
     ("lambda_grid_decades", 0), ("lambda_grid_decades", -1),
     ("validation_fraction", 1.2), ("test_fraction", -0.1), ("test_fraction", 1.5),
     ("dimension", 0), ("patience", 0), ("stop_tol", -0.001),
-    ("initial_rank", 3), ("gramian", "bogus")])
+    ("initial_rank", 3), ("gramian", "bogus"), ("max_rank", "x"), ("dimension", "x")])
 def test_recover_out_of_range_config_exit_2(tmp_path, capsys, key, value):
     samples = write_constant_fixture(tmp_path, n=100)
     algorithm = "als" if key in ("validation_fraction", "test_fraction", "gramian") else "r2als"

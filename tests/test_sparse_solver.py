@@ -220,6 +220,19 @@ def test_cv_fold_determinism():
         assert np.array_equal(x, y)
 
 
+def test_fold_indices_drawn_once_and_read_only():
+    a = fold_indices(30, 10, 42)
+    b = fold_indices(30, 10, 42)
+    assert len(a) == len(b) == 10
+    for x, y in zip(a, b):
+        assert x is y and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0
+    for _ in range(2):     # a failed draw is not cached
+        with pytest.raises(SparseSolverError):
+            fold_indices(5, 10, 0)
+
+
 def test_cv_report_invariant():
     with pytest.raises(SparseSolverError):
         CvReport(np.array([1.0, 0.1]), np.array([0.5, 0.1]), chosen=1.0, seed=0)
@@ -367,17 +380,17 @@ def test_fold_grams_stack_folds_then_all_rows():
     assert np.array_equal(G[-1], A.T @ A) and np.array_equal(b[-1], A.T @ y)
 
 
-def test_cv_refits_each_fold_support_once(monkeypatch):
+def test_cv_scores_each_fold_segment_once(monkeypatch):
     import ttrec.sparse_solver as sp
     held_out_errors = sp._held_out_errors
-    calls = []
+    scores = []
 
-    def counting(A, y, rows, n_rows, S, w):
+    def recording(A, y, rows, n_rows, S, w):
         errs = held_out_errors(A, y, rows, n_rows, S, w)
-        calls.extend([1] * len(errs))    # one per (fold, support) scored
+        scores.extend(errs)             # one per fold segment scored
         return errs
 
-    monkeypatch.setattr(sp, "_held_out_errors", counting)
+    monkeypatch.setattr(sp, "_held_out_errors", recording)
     revisits = 0
     for seed, n, p in ((17, 60, 10), (0, 30, 20)):
         A, y, G, b = _fold_problem(np.random.default_rng(seed), n, p, 5)
@@ -395,9 +408,15 @@ def test_cv_refits_each_fold_support_once(monkeypatch):
         revisits += len(segments) - len(supports)
         # the path starts from the empty support at the largest lambdas
         assert (0, b"") in supports
-        calls.clear()
+        scores.clear()
         cv_select_lambda(A, y, omega, folds=5, seed=0)
-        assert len(calls) == len(supports)
+        assert len(scores) == len(segments)
+        # a support a path returns to scores as on its first visit, up to
+        # the rounding of a refit whose coordinates joined in another order
+        first = {}
+        for (f, S, *_), err in zip(segments, scores):
+            ref = first.setdefault((f, np.sort(S).tobytes()), err)
+            assert abs(err - ref) <= 1e-12 * abs(ref)
     # some path leaves a support and later returns to it
     assert revisits > 0
 
