@@ -54,7 +54,8 @@ class UnivariateBasis:
 
     ``transform`` expresses the functions in the reference orthonormal
     family: function k is ``sum_j transform[j, k] * ref_j``.  ``sup_norms``
-    is None when the sup-norms are infinite (Gaussian measure).
+    is None when the sup-norms are infinite (Gaussian measure).  Both arrays
+    are kept as read-only copies.
     """
 
     kind: str                 # "legendre" | "hermite"
@@ -63,13 +64,13 @@ class UnivariateBasis:
     sup_norms: np.ndarray | None
 
     def __post_init__(self):
-        T = np.ascontiguousarray(np.asarray(self.transform, dtype=float))
+        T = np.array(self.transform, dtype=float, order="C")
         if T.shape != (self.dimension, self.dimension):
             raise BasisError("transform shape does not match dimension")
         T.flags.writeable = False
         object.__setattr__(self, "transform", T)
         if self.sup_norms is not None:
-            s = np.asarray(self.sup_norms, dtype=float)
+            s = np.array(self.sup_norms, dtype=float)
             s.flags.writeable = False
             object.__setattr__(self, "sup_norms", s)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .bases import UnivariateBasis, diag_sup_gramian, gramian_orthonormalize, h1_gramian
 from .sparse_solver import cross_validate, cv_select_lambda, debias_on_support, lambda_grid
@@ -31,7 +30,8 @@ from .sparse_solver import lasso_solve  # noqa: F401 - the benchmark tracer (ben
 from .tensor_core import (TensorTrain, canonicalize, design_matrix, fixed_interface,
                           tt_evaluate_batch, tt_random)
 
-RIDGE_RTOL = 1e-12      # relative ridge added to rank-deficient LS microsteps
+RIDGE_RTOL = 1e-12      # relative ridge of every overdetermined LS microstep's
+                        # normal equations
 EIG_FLOOR = 1e-12       # eigenvalue floor before taking square roots
 PINV_RTOL = 1e-12       # relative eigenvalue floor of the unpenalized ridge CV fit
 UNSTABLE_MAGNITUDE = 1e-3  # size of injected singular values, relative to
@@ -198,41 +198,37 @@ def relative_error(pred, values, weights=None) -> float:
 
 
 def microstep_ls(A: np.ndarray, u: np.ndarray):
-    """Least-squares microstep via QR; rank-deficient systems get a 1e-12
-    relative ridge, underdetermined ones the minimum-norm solution.
+    """Least-squares microstep: the normal equations with a ``RIDGE_RTOL``
+    relative ridge when ``n >= p``, so rank-deficient designs stay
+    solvable, and the minimum-norm solution when ``n < p``.
 
-    Returns ``(v, underdetermined)``.
+    Returns ``(v, 0.0)``, the ``(v, lam)`` of the other microsteps.
     """
     n, p = A.shape
     if n < p:
-        v, *_ = np.linalg.lstsq(A, u, rcond=None)
-        return v, True
-    Q, R = np.linalg.qr(A)
-    diag = np.abs(np.diag(R))
-    if diag.min(initial=0.0) > 1e-12 * max(diag.max(initial=0.0), 1e-300):
-        return solve_triangular(R, Q.T @ u), False
+        return np.linalg.lstsq(A, u, rcond=None)[0], 0.0
     G = A.T @ A
     ridge = RIDGE_RTOL * max(float(np.diag(G).max()), 1.0)
-    return np.linalg.solve(G + ridge * np.eye(p), A.T @ u), False
+    return np.linalg.solve(G + ridge * np.eye(p), A.T @ u), 0.0
 
 
 def _ridge_fold_errors(G, b, lams, A, u, holds):
     """(L, F) held-out errors of the folds' ridge fits and ``fit(k)``, the
     full-data fit at ``lams[k]``, from one batched ``eigh`` of the F fold
-    Grams and all rows' Gram.
+    Grams.
 
     Every penalty of every fold is scored from its fold's eigenpairs; at
     ``lam = 0`` the fold fit is the pseudo-inverse one, eigenvalues under
     ``PINV_RTOL`` of the largest dropped, and the full-data fit is least
-    squares.
+    squares; a positive penalty's comes from ``eigh`` of all rows' Gram.
     """
     F = len(holds)
-    e, V = np.linalg.eigh(G)
+    e, V = np.linalg.eigh(G[:F])
     e = np.maximum(e, 0.0)
-    ef = e[:F, None, :]
+    ef = e[:, None, :]
     dropped = (lams[:, None] == 0.0) & (ef <= PINV_RTOL * ef[:, :, -1:])   # (F, L, p)
     denom = np.where(dropped, np.inf, ef + lams[:, None])
-    coeffs = (b[:F, None, :] @ V[:F]) / denom @ V[:F].swapaxes(1, 2)
+    coeffs = (b[:F, None, :] @ V) / denom @ V.swapaxes(1, 2)
     errors = np.empty((len(lams), F))
     for f, hold in enumerate(holds):   # each fold's held-out rows by its own fits
         resid = u[hold] - coeffs[f] @ A[hold].T
@@ -241,15 +237,16 @@ def _ridge_fold_errors(G, b, lams, A, u, holds):
     def fit(k):
         if lams[k] == 0.0:
             return np.linalg.lstsq(A, u, rcond=None)[0]
-        return V[-1] @ (V[-1].T @ b[-1] / (e[-1] + lams[k]))
+        e_all, V_all = np.linalg.eigh(G[-1])
+        return V_all @ (V_all.T @ b[-1] / (np.maximum(e_all, 0.0) + lams[k]))
 
     return errors, fit
 
 
 def microstep_l2(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
                  decades: float = 4.0, points: int = 25):
-    """Ridge microstep: the penalty cross-validated and the fit at it, both
-    from one ``eigh`` of the stacked fold and full-data Grams.
+    """Ridge microstep: the penalty cross-validated from one batched ``eigh``
+    of the fold Grams, and the full-data fit at it.
 
     Returns ``(v, lam)``; ties at the CV minimum go to the largest penalty,
     and the unpenalized fit is least squares.
@@ -353,7 +350,7 @@ def rank_adapt(tt: TensorTrain, m: int, theta: float, buffer: int,
     if not tt.is_canonical_at(m):
         raise RecoveryError(f"train is not canonical at mode {m}")
     rng = np.random.default_rng() if rng is None else rng
-    comps = [np.array(c) for c in tt.components]
+    comps = list(tt.components)
     rl, d, rm = comps[m].shape
     U, s, Vt = np.linalg.svd(comps[m].reshape(rl * d, rm), full_matrices=False)
     k = s.size
@@ -491,8 +488,7 @@ def recover(samples: SampleSet, config: RecoveryConfig,
                 if len(train_idx) < A.shape[1]:
                     report.underdetermined.append((sweep, m))
                 if config.algorithm == "als":
-                    v, _ = microstep_ls(A, u)
-                    lam = 0.0
+                    v, lam = microstep_ls(A, u)
                 elif config.algorithm == "als_l2":
                     v, lam = microstep_l2(A, u, *cv)
                 elif config.algorithm == "rals":

@@ -47,7 +47,7 @@ class TensorTrain:
     def __post_init__(self):
         comps = []
         for c in self.components:
-            c = np.ascontiguousarray(np.asarray(c, dtype=float))
+            c = np.array(c, dtype=float, order="C")
             if c.ndim != 3:
                 raise TensorTrainError(f"component has order {c.ndim}, expected 3")
             c.flags.writeable = False
@@ -178,7 +178,7 @@ def tt_to_dense(tt: TensorTrain, cap: int = DENSIFY_CAP) -> np.ndarray:
 def _left_qr(tt: TensorTrain, stop: int) -> TensorTrain:
     """Left-orthogonalize components ``0..stop-1`` by thin QR, carrying each
     R factor into the next component."""
-    comps = [np.array(c) for c in tt.components]
+    comps = list(tt.components)
     for k in range(stop):
         rl, n, rr = comps[k].shape
         Q, R = np.linalg.qr(comps[k].reshape(rl * n, rr))
@@ -194,7 +194,7 @@ def left_orthogonalize(tt: TensorTrain) -> TensorTrain:
 
 def right_orthogonalize(tt: TensorTrain) -> TensorTrain:
     """Push the non-orthogonal factor to the first component via thin QR."""
-    comps = [np.array(c) for c in tt.components]
+    comps = list(tt.components)
     M = len(comps)
     for k in range(M - 1, 0, -1):
         rl, n, rr = comps[k].shape
@@ -222,7 +222,7 @@ def tt_rank(tt: TensorTrain) -> tuple:
     if tt.norm() == 0.0:
         return (1,) * (M - 1)
     work = left_orthogonalize(tt)
-    comps = [np.array(c) for c in work.components]
+    comps = list(work.components)
     ranks = []
     for k in range(M - 1, 0, -1):
         rl, n, rr = comps[k].shape
@@ -240,7 +240,7 @@ def insert_gauge(tt: TensorTrain, m: int, A: np.ndarray) -> TensorTrain:
     Leaves the represented tensor unchanged (representation non-uniqueness).
     """
     A = np.asarray(A, dtype=float)
-    comps = [np.array(c) for c in tt.components]
+    comps = list(tt.components)
     comps[m] = np.tensordot(comps[m], A, axes=(2, 0))
     comps[m + 1] = np.tensordot(np.linalg.inv(A), comps[m + 1], axes=(1, 0))
     return TensorTrain(tuple(comps))

@@ -26,7 +26,8 @@ class VariationGrid:
 
     ``weights`` are sampling weights w(y) (default 1), ``quad_weights`` are
     probability-quadrature weights for the underlying measure (default
-    uniform 1/n) used for L1 norms.
+    uniform 1/n) used for L1 norms.  All four arrays are kept as read-only
+    copies.
     """
 
     points: np.ndarray
@@ -35,16 +36,16 @@ class VariationGrid:
     quad_weights: np.ndarray = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        pts = np.array(self.points, dtype=float)
+        vals = np.array(self.values, dtype=float)
         n = pts.shape[0]
         if vals.shape != (n,):
             raise VariationError("values length does not match points")
         if np.any(vals < 0):
             raise VariationError("variation values must be nonnegative")
-        w = np.ones(n) if self.weights is None else np.asarray(self.weights, float)
+        w = np.ones(n) if self.weights is None else np.array(self.weights, float)
         q = np.full(n, 1.0 / n) if self.quad_weights is None \
-            else np.asarray(self.quad_weights, float)
+            else np.array(self.quad_weights, float)
         if w.shape != (n,) or q.shape != (n,):
             raise VariationError("weight arrays must match point count")
         for arr, name in ((pts, "points"), (vals, "values"), (w, "weights"), (q, "quad_weights")):

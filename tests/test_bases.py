@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttrec.bases import (BasisError, Gramian, diag_sup_gramian,
+from ttrec.bases import (BasisError, Gramian, UnivariateBasis, diag_sup_gramian,
                          gramian_orthonormalize, h1_gramian, hermite_basis,
                          legendre_basis)
 
@@ -147,3 +147,17 @@ def test_derivative_evaluation():
 def test_h1_gramian_rejects_too_few_quadrature_nodes():
     with pytest.raises(BasisError):
         h1_gramian(legendre_basis(8), quad_nodes=2)
+
+
+def test_basis_owns_its_arrays():
+    # the caller's transform and sup-norms stay writeable, and writing to
+    # them, or to the base of a view passed in, leaves the basis unchanged
+    base = np.eye(4).ravel()
+    sup = np.arange(1.0, 4.0)
+    b = UnivariateBasis("legendre", 3, base.reshape(4, 4)[:3, :3], sup)
+    transform, sup_norms = b.transform.copy(), b.sup_norms.copy()
+    assert base.flags.writeable and sup.flags.writeable
+    assert not np.shares_memory(base, b.transform) and not np.shares_memory(sup, b.sup_norms)
+    base[:] = 7.0
+    sup[:] = 7.0
+    assert np.array_equal(b.transform, transform) and np.array_equal(b.sup_norms, sup_norms)

@@ -48,14 +48,17 @@ def test_recover_end_to_end(tmp_path, capsys):
 
 def test_recover_malformed_row_exit_2(tmp_path, capsys):
     samples = write_constant_fixture(tmp_path, n=30)
-    text = samples.read_text().splitlines()
-    text[5] = "0.1,0.2,oops,1.0"
-    samples.write_text("\n".join(text) + "\n")
+    lines = samples.read_text().splitlines()
     cfg = write_config(tmp_path)
-    rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
-               "--out", str(tmp_path / "m.tt")])
-    assert rc == 2
-    assert "row 6" in capsys.readouterr().err
+    for i, bad, message in ((5, "0.1,0.2,oops,1.0", "row 6"),
+                            (8, "0.1,0.2,1.0", "row 9: expected 4 fields, got 3")):
+        text = list(lines)
+        text[i] = bad
+        samples.write_text("\n".join(text) + "\n")
+        rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+                   "--out", str(tmp_path / "m.tt")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_recover_bad_sample_values_exit_2(tmp_path, capsys):
@@ -95,6 +98,45 @@ def test_recover_abort_before_first_sweep_writes_no_model(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert "sweep 0: left interface Gramian vanished" in err
     assert "internal error" not in err
+
+
+def test_recover_abort_after_a_sweep_writes_model_and_exits_1(tmp_path, capsys, monkeypatch):
+    # the (M+1)-th microstep is the first of sweep 1: sweep 0 is complete
+    import ttrec.recovery as recovery
+
+    real, calls = recovery.microstep_r2als, []
+
+    def failing_later(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise recovery.RecoveryError("left interface Gramian vanished")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "microstep_r2als", failing_later)
+    samples = write_constant_fixture(tmp_path, n=60)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "model.tt"
+    report = tmp_path / "report.json"
+    rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+               "--out", str(out), "--report", str(report)])
+    assert rc == 1
+    assert out.exists()
+    doc = json.loads(report.read_text())
+    assert doc["aborted"].startswith("sweep 1:") and doc["best_sweep"] == 0
+    err = capsys.readouterr().err
+    assert "recover: aborted: sweep 1: left interface Gramian vanished" in err
+    assert "internal error" not in err
+
+
+def test_recover_hermite_basis_end_to_end(tmp_path, capsys):
+    samples = write_constant_fixture(tmp_path, n=100)
+    cfg = write_config(tmp_path, basis="hermite")
+    out = tmp_path / "model.tt"
+    rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+               "--out", str(out)])
+    assert rc == 0
+    from ttrec.tensor_core import load_tt
+    assert load_tt(out).dims == (5, 5, 5)
 
 
 def test_recover_all_nan_validation_writes_no_model(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttrec.bases import diag_sup_gramian, gramian_orthonormalize, legendre_basis
+from ttrec.bases import diag_sup_gramian, gramian_orthonormalize, hermite_basis, legendre_basis
 from ttrec.recovery import (EIG_FLOOR, PINV_RTOL, RecoveryConfig, RecoveryError,
                             SampleSet, _ridge_fold_errors, _split_samples,
                             local_gramian, microstep_l2, microstep_ls,
@@ -38,8 +38,8 @@ def test_microstep_ls_single_mode_is_polynomial_regression():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((30, 5))
     u = rng.standard_normal(30)
-    v, flag = microstep_ls(A, u)
-    assert not flag
+    v, lam = microstep_ls(A, u)
+    assert lam == 0.0
     ref, *_ = np.linalg.lstsq(A, u, rcond=None)
     assert np.abs(v - ref).max() <= 1e-10
 
@@ -48,8 +48,8 @@ def test_microstep_ls_flags_underdetermined():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((4, 9))
     u = rng.standard_normal(4)
-    v, flag = microstep_ls(A, u)
-    assert flag
+    v, lam = microstep_ls(A, u)
+    assert lam == 0.0
     ref, *_ = np.linalg.lstsq(A, u, rcond=None)  # minimum-norm
     assert np.abs(v - ref).max() <= 1e-10
 
@@ -348,6 +348,11 @@ def test_rank_adapt_grows_by_buffer_when_all_stable():
     grown2 = rank_adapt(canonicalize(grown, 0), 0, theta=0.1, buffer=1,
                         max_rank=3, rng=rng)
     assert grown2.ranks == (3,)  # capped
+    # two injected columns: the second is orthogonalized against the first too
+    grown3 = rank_adapt(tt, 0, theta=0.1, buffer=2, max_rank=5, rng=rng)
+    assert grown3.ranks == (4,)
+    core = grown3.components[0].reshape(6, 4)
+    assert np.abs(core.T @ core - np.eye(4)).max() <= 1e-12
 
 
 def test_rank_adapt_buffer_zero_truncates():
@@ -460,6 +465,36 @@ def test_underdetermined_run_flags_and_returns():
     assert report.underdetermined
     assert report.best_sweep >= 0
     assert report.tt is not None
+
+
+def test_hermite_diag_sup_falls_back_to_h1():
+    # a Hermite basis has infinite sup-norms, so the diag_sup Gramian is
+    # unavailable and both Gramian-based algorithms use h1
+    rng = np.random.default_rng(32)
+    pts = rng.standard_normal((120, 3))
+    samples = SampleSet(pts, np.exp(pts.sum(axis=1) / 4.0))
+    for algorithm in ("rals", "r2als"):
+        reports = [recover(samples, RecoveryConfig(algorithm=algorithm, max_rank=2,
+                                                   max_sweeps=3, seed=0, gramian=g),
+                           hermite_basis(4))
+                   for g in ("diag_sup", "h1")]
+        assert reports[0].val_errors == reports[1].val_errors
+        assert reports[0].lambdas == reports[1].lambdas
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(reports[0].tt.components, reports[1].tt.components))
+
+
+@pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
+def test_all_zero_values_recover_the_zero_function(algorithm):
+    # the start iterate falls back to scale 1 and the relative error to the
+    # absolute one; every algorithm fits zero at once
+    rng = np.random.default_rng(33)
+    samples = SampleSet(rng.uniform(-1, 1, (80, 3)), np.zeros(80))
+    cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=3, seed=0)
+    report = recover(samples, cfg, legendre_basis(4))
+    assert report.aborted is None and report.best_sweep == 0
+    assert report.val_errors == [0.0] * len(report.val_errors)
+    assert np.all(report.predict(rng.uniform(-1, 1, (50, 3))) == 0.0)
 
 
 def test_recover_determinism():

@@ -243,3 +243,18 @@ def test_components_are_readonly():
     tt = tt_random((3, 3), (2,), rng)
     with pytest.raises(ValueError):
         tt.components[0][0, 0, 0] = 1.0
+
+
+def test_train_owns_its_components():
+    # the caller's arrays stay writeable, and writing to them, or to the base
+    # of a view passed in, leaves the train unchanged
+    rng = np.random.default_rng(19)
+    base = rng.standard_normal(2 * 3 * 2)
+    c0, c1 = base[:6].reshape(1, 3, 2), rng.standard_normal((2, 3, 1))
+    tt = TensorTrain((c0, c1))
+    before = [c.copy() for c in tt.components]
+    assert c0.flags.writeable and c1.flags.writeable
+    assert not any(np.shares_memory(c, own) for c in (base, c1) for own in tt.components)
+    base[:] = 0.0
+    c1[:] = 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(tt.components, before))

@@ -278,3 +278,17 @@ def test_singleton_sum_subadditive():
     kb = g**2
     assert np.all(k_sum <= ka + kb + 1e-12)
     assert k_sum.max() < (ka + kb).max()  # strict somewhere for singletons
+
+
+def test_grid_owns_its_arrays():
+    # the caller's points and values stay writeable, and writing to them, or
+    # to the base of a view passed in, leaves the grid unchanged
+    base = np.linspace(-1.0, 1.0, 10)
+    vals = np.ones(5)
+    vg = VariationGrid(base[::2], vals)
+    points, values = vg.points.copy(), vg.values.copy()
+    assert base.flags.writeable and vals.flags.writeable
+    assert not np.shares_memory(base, vg.points) and not np.shares_memory(vals, vg.values)
+    base[:] = 0.0
+    vals[:] = 2.0
+    assert np.array_equal(vg.points, points) and np.array_equal(vg.values, values)
