@@ -52,7 +52,9 @@ class SampleSet:
     A partition is an array of distinct sample indices in ``[0, n)``; no
     sample may be in two partitions.  ``train_idx`` and ``val_idx`` come
     together or not at all; without them ``recover`` splits the samples
-    outside ``test_idx`` at random.
+    outside ``test_idx`` at random.  The set keeps read-only copies of the
+    arrays it is given, so writing to the caller's arrays leaves it
+    unchanged.
     """
 
     points: np.ndarray            # (n, M)
@@ -63,12 +65,12 @@ class SampleSet:
     test_idx: np.ndarray = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        vals = np.asarray(self.values, dtype=float)
+        pts = np.array(self.points, dtype=float, ndmin=2)
+        vals = np.array(self.values, dtype=float)
         n = pts.shape[0]
         if vals.shape != (n,):
             raise RecoveryError("values length does not match points")
-        w = np.ones(n) if self.weights is None else np.asarray(self.weights, float)
+        w = np.ones(n) if self.weights is None else np.array(self.weights, dtype=float)
         if w.shape != (n,) or np.any(w < 0):
             raise RecoveryError("weights must be nonnegative and match points")
         finite = np.stack([np.isfinite(pts).all(axis=1), np.isfinite(vals), np.isfinite(w)])
@@ -77,9 +79,9 @@ class SampleSet:
             bad = [name for name, ok in zip(("point", "value", "weight"), finite[:, i]) if not ok]
             raise RecoveryError(f"sample {i} (counting from 0) has a non-finite "
                                 + " and ".join(bad))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "weights", w)
+        for name, arr in (("points", pts), ("values", vals), ("weights", w)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if (self.train_idx is None) != (self.val_idx is None):
             raise RecoveryError("train_idx and val_idx must be given together")
         seen = np.zeros(n, dtype=bool)
@@ -87,7 +89,7 @@ class SampleSet:
             idx = getattr(self, name)
             if idx is None:
                 continue
-            idx = np.asarray(idx)
+            idx = np.array(idx)
             if idx.size == 0:
                 idx = np.zeros(0, dtype=np.intp)
             if idx.ndim != 1 or idx.dtype.kind not in "iu":
@@ -99,6 +101,7 @@ class SampleSet:
             if seen[idx].any():
                 raise RecoveryError(f"{name} overlaps another partition")
             seen[idx] = True
+            idx.flags.writeable = False
             object.__setattr__(self, name, idx)
 
     @property

@@ -17,6 +17,7 @@ discretization serves.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -277,12 +278,69 @@ def qoi(field: np.ndarray, n: int) -> float:
     return float(w @ field @ w) / n**2
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_processes(fn, tasks: list, workers: int) -> list:
+    """``[fn(*task) for task in tasks]`` on up to ``workers`` processes.
+
+    This process runs the first task while a pool of the others takes the
+    rest in order; then it runs, last first, the tasks no worker has
+    started.  ``fn`` must be module-level so that a worker can receive it;
+    the pool uses the platform's default start method.  A task's exception
+    reaches the caller, and the pool's ``with`` block joins every worker
+    before this returns or raises.
+    """
+    workers = min(workers, len(tasks))
+    if workers < 2:
+        return [fn(*task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        futures = {i: pool.submit(fn, *tasks[i]) for i in range(1, len(tasks))}
+        try:
+            done = {0: fn(*tasks[0])}
+            for i in reversed(futures):
+                # only a task no worker has started can be cancelled; the
+                # workers start them in order, so none before this one can
+                if not futures[i].cancel():
+                    break
+                done[i] = fn(*tasks[i])
+            return [done[i] if i in done else futures[i].result()
+                    for i in range(len(tasks))]
+        finally:
+            # after an error no worker starts another task
+            for fut in futures.values():
+                fut.cancel()
+
+
+# the fewest samples a darcy-gen process solves: a smaller chunk costs more
+# to hand to a worker than it saves
+_MIN_CHUNK = 64
+
+
+def _qois(model: DiffusionModel, pts: np.ndarray, grid: int) -> np.ndarray:
+    """The quantity of interest at each parameter row of ``pts``;
+    module-level so that worker processes can receive it."""
+    return np.array([qoi(solve_diffusion(model, y, grid), grid) for y in pts])
+
+
 def generate_samples(model: DiffusionModel, n_samples: int, seed: int = 0,
                      grid: int = 64) -> SampleSet:
     """Draw i.i.d. parameters from the model's measure (uniform on
     [-1, 1]^n_params for the affine model, standard normal for the
     log-normal one) and solve for the quantity of interest; sampling
     weights are identically 1.
+
+    The solves are split into contiguous chunks, one per CPU in this
+    process's affinity mask but at least 64 samples each.  This process
+    solves the first chunk and worker processes the others, every one
+    through the same per-sample solve, so the values are bit-identical
+    for any worker count.  No worker outlives the call.
     """
     if n_samples < 1:
         raise BenchmarkError("need at least one sample")
@@ -291,10 +349,10 @@ def generate_samples(model: DiffusionModel, n_samples: int, seed: int = 0,
         pts = rng.uniform(-1.0, 1.0, (n_samples, model.n_params))
     else:
         pts = rng.standard_normal((n_samples, model.n_params))
-    values = np.empty(n_samples)
-    for i in range(n_samples):
-        values[i] = qoi(solve_diffusion(model, pts[i], grid), grid)
-    return SampleSet(pts, values)
+    workers = max(1, min(_cpu_count(), n_samples // _MIN_CHUNK))
+    chunks = np.array_split(pts, workers)
+    values = _map_processes(_qois, [(model, c, grid) for c in chunks], workers)
+    return SampleSet(pts, np.concatenate(values))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +380,10 @@ def evaluate_target(tt: TensorTrain, points: np.ndarray) -> np.ndarray:
     return predict(tt, legendre_basis(tt.dims[0]), points)
 
 
-def _phase_cell(params) -> float:
+def _phase_cell(M, n, realizations, target, algorithm, dimension, n_test, seed,
+                max_rank, max_sweeps) -> float:
     """One (order, sample count) cell; module-level so worker processes can
     receive it."""
-    (M, n, realizations, target, algorithm, dimension, n_test, seed,
-     max_rank, max_sweeps) = params
     # built first so that a configuration error propagates instead of
     # turning the cell into NaN
     cfg = RecoveryConfig(algorithm=algorithm, max_rank=max_rank, max_sweeps=max_sweeps)
@@ -362,27 +419,17 @@ def phase_diagram(orders, sample_counts, realizations: int = 20,
     Every cell averages over independent realizations; all realizations of
     one (order, count) derive their RNG streams from (seed, order, count,
     realization), so the matrix is reproducible cell by cell and
-    independent of ``jobs``.  Failed cells are recorded as NaN.
+    independent of ``jobs``, the number of processes that compute cells
+    (this one included).  Failed cells are recorded as NaN.
     """
     orders = [int(M) for M in orders]
     sample_counts = [int(n) for n in sample_counts]
     if any(n < 1 for n in sample_counts):
         raise BenchmarkError("sample counts must be positive")
-    cells = [(i, j) for i in range(len(orders)) for j in range(len(sample_counts))]
-    params = {(i, j): (orders[i], sample_counts[j], realizations, target,
-                       algorithm, dimension, n_test, seed, max_rank, max_sweeps)
-              for i, j in cells}
-    grid = np.full((len(orders), len(sample_counts)), np.nan)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {(i, j): pool.submit(_phase_cell, params[i, j]) for i, j in cells}
-        for (i, j), fut in futures.items():
-            grid[i, j] = fut.result()
-    else:
-        for i, j in cells:
-            grid[i, j] = _phase_cell(params[i, j])
-    return grid
+    params = [(M, n, realizations, target, algorithm, dimension, n_test, seed,
+               max_rank, max_sweeps) for M in orders for n in sample_counts]
+    cells = _map_processes(_phase_cell, params, jobs)
+    return np.array(cells, dtype=float).reshape(len(orders), len(sample_counts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from ttrec import uq_bench
 from ttrec.cli import main, read_sample_csv
+from ttrec.uq_bench import BenchmarkError, _qois
 
 
 def write_constant_fixture(tmp_path, n=200, M=3, value=2.5, seed=0):
@@ -264,6 +267,27 @@ def test_darcy_gen_bad_arguments_exit_2(tmp_path, capsys):
         assert rc == 2
         assert "internal error" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def _qois_failing_in_workers(model, pts, grid):
+    # module-level so that the worker receives it by name
+    if multiprocessing.parent_process() is not None:
+        raise BenchmarkError("a worker's solve failed")
+    return _qois(model, pts, grid)
+
+
+def test_darcy_gen_worker_error_exit_2(tmp_path, capsys, monkeypatch):
+    # 160 samples on two CPUs: this process solves the first 80 and one
+    # worker the rest, where the solve raises
+    monkeypatch.setattr(uq_bench, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(uq_bench, "_qois", _qois_failing_in_workers)
+    out = tmp_path / "darcy.csv"
+    rc = main(["darcy-gen", "--n", "160", "--grid", "16", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "a worker's solve failed" in err and "internal error" not in err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_phase_diagram_bad_count_exit_2(tmp_path, capsys):

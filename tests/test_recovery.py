@@ -44,7 +44,7 @@ def test_microstep_ls_single_mode_is_polynomial_regression():
     assert np.abs(v - ref).max() <= 1e-10
 
 
-def test_microstep_ls_flags_underdetermined():
+def test_microstep_ls_underdetermined_is_unpenalized_minimum_norm():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((4, 9))
     u = rng.standard_normal(4)
@@ -543,6 +543,25 @@ def test_sample_partitions_validated():
             SampleSet(pts, vals, **kwargs)
     ok = SampleSet(pts, vals, train_idx=list(range(15)), val_idx=[], test_idx=val)
     assert ok.val_idx.dtype.kind == "i" and ok.test_idx.tolist() == val.tolist()
+
+
+def test_sample_set_owns_its_arrays():
+    # the caller's arrays stay writeable, and writing to them, or to the
+    # base of a view passed in, leaves the set unchanged
+    rng = np.random.default_rng(31)
+    base = rng.uniform(-1, 1, (21, 2))
+    pts, vals, wts = base[1:], rng.standard_normal(20), np.ones(20)
+    train, val = np.arange(15), np.arange(15, 20)
+    s = SampleSet(pts, vals, wts, train_idx=train, val_idx=val)
+    kept = {name: getattr(s, name).copy()
+            for name in ("points", "values", "weights", "train_idx", "val_idx")}
+    for given, name in ((base, "points"), (vals, "values"), (wts, "weights"),
+                        (train, "train_idx"), (val, "val_idx")):
+        assert given.flags.writeable and not getattr(s, name).flags.writeable
+        assert not np.shares_memory(given, getattr(s, name))
+        given[...] = 7
+    for name, arr in kept.items():
+        assert np.array_equal(getattr(s, name), arr)
 
 
 def test_random_split_keeps_test_samples_out():

@@ -1,6 +1,9 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from ttrec import uq_bench
 from ttrec.recovery import (RecoveryConfig, RecoveryError, SampleSet, recover,
                             relative_error)
 from ttrec.tensor_core import tt_evaluate_batch, tt_rank
@@ -9,7 +12,8 @@ from ttrec.uq_bench import (BenchmarkError, DiffusionModel, evaluate_target,
                             generate_samples, legendre_weight_matrix,
                             phase_diagram, qoi, solve_diffusion,
                             spectrum_experiment, synthetic_target)
-from ttrec.uq_bench import _checkerboard, _condense, _grid_nodes, _mode_stack
+from ttrec.uq_bench import (_checkerboard, _condense, _grid_nodes, _map_processes,
+                            _mode_stack)
 
 from oracles import poisson_unit_square_qoi, reference_solve_diffusion
 
@@ -200,6 +204,46 @@ def test_generate_samples_deterministic():
     b = generate_samples(model, 3, seed=9, grid=16)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_generate_samples_matches_per_sample_loop(monkeypatch, cpus):
+    # at two CPUs this process solves the first 80 samples, a worker the rest
+    monkeypatch.setattr(uq_bench, "_cpu_count", lambda: cpus)
+    model = DiffusionModel("affine")
+    ss = generate_samples(model, 160, seed=11, grid=16)
+    assert multiprocessing.active_children() == []
+    pts = np.random.default_rng(11).uniform(-1.0, 1.0, (160, 20))
+    vals = [qoi(solve_diffusion(model, y, 16), 16) for y in pts]
+    assert np.array_equal(ss.points, pts)
+    assert np.array_equal(ss.values, vals)
+
+
+def test_generate_samples_gives_each_process_at_least_64_samples(monkeypatch):
+    monkeypatch.setattr(uq_bench, "_cpu_count", lambda: 8)
+    chunks = []
+
+    def serial(fn, tasks, workers):
+        chunks.append([len(pts) for _, pts, _ in tasks])
+        assert len(tasks) == workers
+        return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(uq_bench, "_map_processes", serial)
+    for n in (4, 127, 128, 200):
+        generate_samples(DiffusionModel("affine"), n, grid=8)
+    assert chunks == [[4], [127], [64, 64], [67, 67, 66]]
+
+
+def test_map_processes_keeps_task_order():
+    # more tasks than processes: the pool takes them from the front and this
+    # process, after its own, from the back
+    tasks = [(i, 2) for i in range(40)]
+    for workers in (1, 2, 3):
+        assert _map_processes(pow, tasks, workers) == [i * i for i in range(40)]
+        assert multiprocessing.active_children() == []
+    with pytest.raises(ZeroDivisionError):
+        _map_processes(divmod, [(1, 1), (1, 0), (2, 1)], 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_qoi_richardson_ratio():
