@@ -15,19 +15,17 @@ import configparser
 import csv
 import datetime
 import json
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__
 from .bases import legendre_basis, hermite_basis
 from .recovery import RecoveryConfig, RecoveryError, SampleSet, recover
-from .tensor_core import save_tt
+from .tensor_core import atomic_open, save_tt
 from .uq_bench import (BenchmarkError, DiffusionModel, generate_samples,
                        phase_diagram, spectrum_experiment)
-from .variation import local_variation_rank1
+from .variation import VariationError, local_variation_rank1
 
 
 class CliError(Exception):
@@ -61,16 +59,8 @@ def fmt(x) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ttrec-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_csv(path, header_lines, columns, rows) -> None:
@@ -232,9 +222,12 @@ def read_sample_csv(path) -> SampleSet:
 
 def _parse_list(text, conv):
     try:
-        return [conv(tok) for tok in text.split(",") if tok]
+        values = [conv(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise CliError(f"bad list argument: {text!r}")
+    if not values:
+        raise CliError(f"empty list argument: {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +294,11 @@ def cmd_recover(args) -> int:
 def cmd_variation(args) -> int:
     ds = _parse_list(args.d, int)
     rs = _parse_list(args.r, float)
-    rows = []
-    for d in ds:
-        for r in rs:
-            est = local_variation_rank1(d, d, r, args.grid)
-            rows.append((d, r, est.value))
+    try:
+        rows = [(d, r, local_variation_rank1(d, d, r, args.grid).value)
+                for d in ds for r in rs]
+    except VariationError as exc:
+        raise CliError(str(exc))
     header = manifest_lines("variation", args, [], [args.out])
     write_csv(args.out, header, ["d", "r", "K_estimate"], rows)
     if args.svg:
@@ -329,7 +322,7 @@ def cmd_phase_diagram(args) -> int:
                              dimension=args.dimension, n_test=args.test_samples,
                              seed=args.seed, max_rank=args.max_rank,
                              max_sweeps=args.max_sweeps, jobs=args.jobs)
-    except BenchmarkError as exc:
+    except (BenchmarkError, RecoveryError) as exc:
         raise CliError(str(exc))
     rows = [(orders[i], counts[j], grid[i, j])
             for i in range(len(orders)) for j in range(len(counts))]
@@ -356,8 +349,11 @@ def cmd_darcy_gen(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    res = spectrum_experiment(d=args.d, weight=args.weight,
-                              realizations=args.realizations, seed=args.seed)
+    try:
+        res = spectrum_experiment(d=args.d, weight=args.weight,
+                                  realizations=args.realizations, seed=args.seed)
+    except BenchmarkError as exc:
+        raise CliError(str(exc))
     header = manifest_lines("spectrum", args, [], [args.out])
     header.append(f"# tail_index={res['tail_index']} "
                   f"fraction_faster={fmt(res['fraction_faster'])}")

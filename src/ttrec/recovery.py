@@ -49,6 +49,8 @@ class RecoveryError(RuntimeError):
 class SampleSet:
     """Point samples of the target function with optional partitions.
 
+    Every point has at least one parameter column.
+
     A partition is an array of distinct sample indices in ``[0, n)``; no
     sample may be in two partitions.  ``train_idx`` and ``val_idx`` come
     together or not at all; without them ``recover`` splits the samples
@@ -70,6 +72,8 @@ class SampleSet:
         n = pts.shape[0]
         if vals.shape != (n,):
             raise RecoveryError("values length does not match points")
+        if pts.shape[1] == 0:
+            raise RecoveryError("points have no parameter columns")
         w = np.ones(n) if self.weights is None else np.array(self.weights, dtype=float)
         if w.shape != (n,) or np.any(w < 0):
             raise RecoveryError("weights must be nonnegative and match points")

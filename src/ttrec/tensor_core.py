@@ -16,7 +16,9 @@ threads.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -390,8 +392,30 @@ def tt_from_json(doc: dict) -> TensorTrain:
     return TensorTrain(tuple(comps))
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """A text file to write that replaces ``path`` by an atomic rename when
+    the block exits normally.
+
+    The file is a temp file ``.ttrec-*`` in the target's directory, created
+    with the permissions ``open(path, "w")`` would give; if the block
+    raises, it is removed and ``path`` is left as it was.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".ttrec-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_tt(tt: TensorTrain, path) -> None:
-    with open(path, "w") as fh:
+    """Write ``tt`` as JSON to ``path`` through :func:`atomic_open`."""
+    with atomic_open(path) as fh:
         json.dump(tt_to_json(tt), fh)
         fh.write("\n")
 

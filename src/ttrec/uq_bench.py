@@ -13,6 +13,10 @@ with a solve of the full operator to about 1e-14 relative, so samples
 written by earlier versions, which solved it, differ in the last digits.
 Recovery only ever sees (parameter, value) pairs, so any consistent
 discretization serves.
+
+The band solve is the package's only use of scipy.  ``solve_diffusion``
+imports it at its first call, so importing this module, and with it the
+command line, loads no scipy.
 """
 from __future__ import annotations
 
@@ -21,8 +25,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg as splinalg  # noqa: F401 - the benchmark tracer (bench/layers.py) looks it up
-from scipy.linalg import solveh_banded
 
 from .bases import legendre_basis
 from .recovery import (RecoveryConfig, RecoveryError, SampleSet, predict, recover,
@@ -32,6 +34,16 @@ from .tensor_core import TensorTrain
 
 class BenchmarkError(ValueError):
     pass
+
+
+def __getattr__(name):
+    # the benchmark tracer (bench/layers.py) wraps ``splinalg.spsolve``
+    # here; resolving the name lazily keeps scipy.sparse out of every run
+    # that is not traced
+    if name == "splinalg":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -251,6 +263,7 @@ def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
     g[:-1] += wW[1:] * F[1:]
     g[:, 1:] += wN[:, :-1] * F[:, :-1]
     g[:, :-1] += wS[:, 1:] * F[:, 1:]
+    from scipy.linalg import solveh_banded  # here, so only a PDE solve loads scipy
     try:
         ub = solveh_banded(ab, g.reshape(-1)[black])
     except (ValueError, np.linalg.LinAlgError) as exc:
@@ -424,8 +437,18 @@ def phase_diagram(orders, sample_counts, realizations: int = 20,
     """
     orders = [int(M) for M in orders]
     sample_counts = [int(n) for n in sample_counts]
+    if any(M < 1 for M in orders):
+        raise BenchmarkError("orders must be positive")
     if any(n < 1 for n in sample_counts):
         raise BenchmarkError("sample counts must be positive")
+    if realizations < 1:
+        raise BenchmarkError("realizations must be >= 1")
+    if dimension < 1:
+        raise BenchmarkError("dimension must be >= 1")
+    if n_test < 1:
+        raise BenchmarkError("test sample count must be >= 1")
+    if jobs < 1:
+        raise BenchmarkError("jobs must be >= 1")
     params = [(M, n, realizations, target, algorithm, dimension, n_test, seed,
                max_rank, max_sweeps) for M in orders for n in sample_counts]
     cells = _map_processes(_phase_cell, params, jobs)
@@ -456,6 +479,8 @@ def spectrum_experiment(d: int = 50, weight: str = "legendre",
     """
     if d < 1:
         raise BenchmarkError("dimension must be >= 1")
+    if realizations < 1:
+        raise BenchmarkError("realizations must be >= 1")
     if weight == "legendre":
         W = legendre_weight_matrix(d)
     elif weight == "ones":

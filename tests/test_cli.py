@@ -1,9 +1,13 @@
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ttrec
 from ttrec import uq_bench
 from ttrec.cli import main, read_sample_csv
 from ttrec.uq_bench import BenchmarkError, _qois
@@ -81,6 +85,19 @@ def test_recover_bad_sample_values_exit_2(tmp_path, capsys):
         assert str(samples) in err and message in err
         assert "internal error" not in err
     assert not (tmp_path / "m.tt").exists()
+
+
+def test_recover_no_parameter_columns_exit_2(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("u\n" + "".join(f"{v}\n" for v in range(30)))
+    out = tmp_path / "m.tt"
+    rc = main(["recover", "--config", str(write_config(tmp_path)),
+               "--samples", str(samples), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{samples}: points have no parameter columns" in err
+    assert "internal error" not in err
+    assert not out.exists()
 
 
 def test_recover_abort_before_first_sweep_writes_no_model(tmp_path, capsys, monkeypatch):
@@ -247,6 +264,30 @@ def test_spectrum_subcommand(tmp_path):
     assert len(data) == 4 * 2 * 10
 
 
+def test_variation_bad_arguments_exit_2(tmp_path, capsys):
+    out = tmp_path / "var.csv"
+    for extra, message in ((["--d", "1"], "matrix dimensions must be >= 2"),
+                           (["--r", "-1"], "radius must be positive"),
+                           (["--grid", "0"], "grid size must be >= 3")):
+        # the last of a repeated flag wins
+        rc = main(["variation", "--d", "2", "--r", "1", "--out", str(out)] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_spectrum_bad_arguments_exit_2(tmp_path, capsys):
+    out = tmp_path / "spectra.csv"
+    for extra, message in ((["--d", "0"], "dimension must be >= 1"),
+                           (["--realizations", "0"], "realizations must be >= 1")):
+        rc = main(["spectrum", "--out", str(out)] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+    assert not out.exists()
+
+
 def test_darcy_gen_subcommand(tmp_path):
     out = tmp_path / "darcy.csv"
     # an odd grid leaves an even number of interior nodes per side
@@ -299,6 +340,38 @@ def test_phase_diagram_bad_count_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--orders", "0"], "orders must be positive"),
+    (["--realizations", "0"], "realizations must be >= 1"),
+    (["--jobs", "-2"], "jobs must be >= 1"),
+    (["--dimension", "0"], "dimension must be >= 1"),
+    (["--test-samples", "0"], "test sample count must be >= 1"),
+    (["--max-rank", "0"], "ranks must be >= 1"),
+])
+def test_phase_diagram_empty_parameter_space_exit_2(tmp_path, capsys, extra, message):
+    out = tmp_path / "phase.csv"
+    rc = main(["phase-diagram", "--orders", "2", "--counts", "10",
+               "--out", str(out)] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["variation", "--d", "", "--r", "1", "--svg", "{tmp}/var.svg"],
+    ["variation", "--d", "2", "--r", ","],
+    ["phase-diagram", "--orders", "", "--counts", "10"],
+])
+def test_empty_list_argument_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    rc = main([a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "empty list argument" in err and "internal error" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_phase_diagram_subcommand(tmp_path):
     out = tmp_path / "phase.csv"
     svg = tmp_path / "phase.svg"
@@ -347,3 +420,50 @@ def test_config_allows_inline_comments(tmp_path):
     rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
                "--out", str(tmp_path / "m.tt")])
     assert rc == 0
+
+
+# The cold-start tests run in fresh interpreters: the test process has
+# scipy loaded already (the oracles use it).
+
+def _python(code, *args):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(ttrec.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_scipy():
+    proc = _python("import sys, ttrec, ttrec.recovery, ttrec.uq_bench, ttrec.cli\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from ttrec.cli import main
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+def test_commands_without_pde_run_without_scipy(tmp_path):
+    samples = write_constant_fixture(tmp_path, n=100)
+    cfg = write_config(tmp_path)
+    runs = [["recover", "--config", str(cfg), "--samples", str(samples),
+             "--out", str(tmp_path / "blocked.tt")],
+            ["variation", "--d", "2", "--r", "1", "--grid", "5",
+             "--out", str(tmp_path / "var.csv")],
+            ["spectrum", "--d", "6", "--realizations", "2",
+             "--out", str(tmp_path / "spectra.csv")]]
+    proc = _python(_WITHOUT_SCIPY, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    assert main(["recover", "--config", str(cfg), "--samples", str(samples),
+                 "--out", str(tmp_path / "model.tt")]) == 0
+    assert (tmp_path / "blocked.tt").read_bytes() == (tmp_path / "model.tt").read_bytes()

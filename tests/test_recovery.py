@@ -545,6 +545,11 @@ def test_sample_partitions_validated():
     assert ok.val_idx.dtype.kind == "i" and ok.test_idx.tolist() == val.tolist()
 
 
+def test_sample_set_rejects_points_without_columns():
+    with pytest.raises(RecoveryError, match="no parameter columns"):
+        SampleSet(np.empty((5, 0)), np.ones(5))
+
+
 def test_sample_set_owns_its_arrays():
     # the caller's arrays stay writeable, and writing to them, or to the
     # base of a view passed in, leaves the set unchanged

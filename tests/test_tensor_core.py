@@ -1,6 +1,10 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from ttrec import tensor_core
 from ttrec.tensor_core import (TensorTrain, TensorTrainError, canonicalize,
                                design_matrix, fixed_interface, insert_gauge,
                                left_orthogonalize, load_tt, right_orthogonalize,
@@ -236,6 +240,28 @@ def test_serialization_roundtrip(tmp_path):
     assert back.dims == tt.dims
     assert back.ranks == tt.ranks
     assert np.array_equal(tt_to_dense(back), tt_to_dense(tt))
+
+
+def test_save_tt_interrupted_keeps_previous_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(18)
+    path = tmp_path / "model.tt"
+    save_tt(tt_random((3, 4), (2,), rng), path)
+    before = path.read_bytes()
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
+    plain.unlink()
+
+    def interrupted(doc, fh):
+        fh.write(json.dumps(doc)[:20])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(tensor_core.json, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        save_tt(tt_random((3, 4), (2,), rng), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.tt"]
 
 
 def test_components_are_readonly():

@@ -171,6 +171,12 @@ def test_solver_matches_sparse_reference():
                 assert abs(qoi(field, n) - qoi(ref, n)) <= 1e-12 * abs(qoi(ref, n))
 
 
+def test_splinalg_resolves_on_demand():
+    # the benchmark tracer wraps uq_bench.splinalg.spsolve
+    assert callable(uq_bench.splinalg.spsolve)
+    assert getattr(uq_bench, "missing", None) is None
+
+
 def test_grid_caches_are_read_only_and_shared():
     X1, X2 = _grid_nodes(16)
     modes = _mode_stack(DiffusionModel("lognormal"), 16)
@@ -296,6 +302,19 @@ def test_phase_diagram_rejects_zero_samples():
         phase_diagram([2], [0], realizations=1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(orders=[0]), "orders must be positive"),
+    (dict(realizations=0), "realizations must be >= 1"),
+    (dict(jobs=0), "jobs must be >= 1"),
+    (dict(dimension=0), "dimension must be >= 1"),
+    (dict(n_test=0), "test sample count must be >= 1"),
+])
+def test_phase_diagram_rejects_empty_parameter_spaces(kwargs, message):
+    args = {"orders": [2], "sample_counts": [10], "realizations": 1, **kwargs}
+    with pytest.raises(BenchmarkError, match=message):
+        phase_diagram(**args)
+
+
 def test_phase_diagram_config_errors_propagate(monkeypatch):
     with pytest.raises(RecoveryError, match="unknown algorithm"):
         phase_diagram([2], [30], realizations=1, algorithm="nope")
@@ -362,6 +381,11 @@ def test_spectrum_degenerate_dimension():
     res = spectrum_experiment(d=1, realizations=3, seed=0)
     assert res["plain"].shape == (3, 1)
     assert np.allclose(res["plain"], res["weighted"])
+
+
+def test_spectrum_rejects_no_realizations():
+    with pytest.raises(BenchmarkError, match="realizations must be >= 1"):
+        spectrum_experiment(d=4, realizations=0)
 
 
 def test_spectrum_unit_weight_identical():
