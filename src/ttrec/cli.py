@@ -5,13 +5,14 @@ outputs, seed, timestamp, version); identical manifests reproduce
 byte-identical files.  Floats are written with shortest round-trip
 formatting and all writes go through a temp file plus atomic rename.
 
-Exit codes: 0 success, 2 usage/configuration/data errors, 1 internal
-errors.
+Exit codes: 0 success, 2 usage/configuration/data errors (``CliError`` and
+the library's typed errors), 1 internal errors.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import datetime
 import json
@@ -19,10 +20,10 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, tensor_core
 from .bases import legendre_basis, hermite_basis
 from .recovery import RecoveryConfig, RecoveryError, SampleSet, recover
-from .tensor_core import atomic_open, save_tt
+from .tensor_core import atomic_open
 from .uq_bench import (BenchmarkError, DiffusionModel, generate_samples,
                        phase_diagram, spectrum_experiment)
 from .variation import VariationError, local_variation_rank1
@@ -58,9 +59,25 @@ def fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turns a failure to create or replace the output file ``path`` (a
+    missing or unwritable directory, a directory in its place) into a
+    ``CliError`` that names it; ``atomic_open`` has removed its temp file."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def atomic_write(path: str, text: str) -> None:
-    with atomic_open(path) as fh:
+    with _writing(path), atomic_open(path) as fh:
         fh.write(text)
+
+
+def save_tt(tt, path) -> None:
+    with _writing(path):
+        tensor_core.save_tt(tt, path)
 
 
 def write_csv(path, header_lines, columns, rows) -> None:
@@ -253,10 +270,7 @@ def cmd_recover(args) -> int:
     samples = SampleSet(samples.points, samples.values, samples.weights,
                         train_idx=np.sort(rest[n_val:]), val_idx=np.sort(rest[:n_val]),
                         test_idx=np.sort(perm[:n_test]) if n_test else None)
-    try:
-        report = recover(samples, cfg, basis)
-    except RecoveryError as exc:  # raised before the first sweep: bad data or config
-        raise CliError(str(exc))
+    report = recover(samples, cfg, basis)
     if report.best_sweep < 0:
         # no sweep completed, or none has a finite validation error (they are
         # NaN when the values overflow): the only iterate is the untrained start
@@ -294,11 +308,8 @@ def cmd_recover(args) -> int:
 def cmd_variation(args) -> int:
     ds = _parse_list(args.d, int)
     rs = _parse_list(args.r, float)
-    try:
-        rows = [(d, r, local_variation_rank1(d, d, r, args.grid).value)
-                for d in ds for r in rs]
-    except VariationError as exc:
-        raise CliError(str(exc))
+    rows = [(d, r, local_variation_rank1(d, d, r, args.grid).value)
+            for d in ds for r in rs]
     header = manifest_lines("variation", args, [], [args.out])
     write_csv(args.out, header, ["d", "r", "K_estimate"], rows)
     if args.svg:
@@ -316,14 +327,11 @@ def cmd_variation(args) -> int:
 def cmd_phase_diagram(args) -> int:
     orders = _parse_list(args.orders, int)
     counts = _parse_list(args.counts, int)
-    try:
-        grid = phase_diagram(orders, counts, realizations=args.realizations,
-                             target=args.target, algorithm=args.algorithm,
-                             dimension=args.dimension, n_test=args.test_samples,
-                             seed=args.seed, max_rank=args.max_rank,
-                             max_sweeps=args.max_sweeps, jobs=args.jobs)
-    except (BenchmarkError, RecoveryError) as exc:
-        raise CliError(str(exc))
+    grid = phase_diagram(orders, counts, realizations=args.realizations,
+                         target=args.target, algorithm=args.algorithm,
+                         dimension=args.dimension, n_test=args.test_samples,
+                         seed=args.seed, max_rank=args.max_rank,
+                         max_sweeps=args.max_sweeps, jobs=args.jobs)
     rows = [(orders[i], counts[j], grid[i, j])
             for i in range(len(orders)) for j in range(len(counts))]
     header = manifest_lines("phase-diagram", args, [], [args.out])
@@ -335,11 +343,8 @@ def cmd_phase_diagram(args) -> int:
 
 
 def cmd_darcy_gen(args) -> int:
-    try:
-        model = DiffusionModel(args.model)
-        samples = generate_samples(model, args.n, seed=args.seed, grid=args.grid)
-    except BenchmarkError as exc:
-        raise CliError(str(exc))
+    model = DiffusionModel(args.model)
+    samples = generate_samples(model, args.n, seed=args.seed, grid=args.grid)
     header = manifest_lines("darcy-gen", args, [], [args.out])
     cols = [f"y_{i + 1}" for i in range(model.n_params)] + ["u"]
     rows = [tuple(samples.points[i]) + (samples.values[i],) for i in range(samples.size)]
@@ -349,11 +354,8 @@ def cmd_darcy_gen(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        res = spectrum_experiment(d=args.d, weight=args.weight,
-                                  realizations=args.realizations, seed=args.seed)
-    except BenchmarkError as exc:
-        raise CliError(str(exc))
+    res = spectrum_experiment(d=args.d, weight=args.weight,
+                              realizations=args.realizations, seed=args.seed)
     header = manifest_lines("spectrum", args, [], [args.out])
     header.append(f"# tail_index={res['tail_index']} "
                   f"fraction_faster={fmt(res['fraction_faster'])}")
@@ -403,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rank", type=int, default=4)
     p.add_argument("--max-sweeps", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="cells solved in parallel")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes that solve realizations in parallel")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None, help="optional SVG heatmap")
     p.set_defaults(func=cmd_phase_diagram)
@@ -431,7 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, RecoveryError, BenchmarkError, VariationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

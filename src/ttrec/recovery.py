@@ -205,9 +205,12 @@ def relative_error(pred, values, weights=None) -> float:
 
 
 def microstep_ls(A: np.ndarray, u: np.ndarray):
-    """Least-squares microstep: the normal equations with a ``RIDGE_RTOL``
-    relative ridge when ``n >= p``, so rank-deficient designs stay
-    solvable, and the minimum-norm solution when ``n < p``.
+    """Least-squares microstep: the normal equations with a ridge of
+    ``RIDGE_RTOL`` times the largest diagonal entry of the Gram when
+    ``n >= p``, so rank-deficient designs stay solvable, and the
+    minimum-norm solution when ``n < p``.  The ridge scales with the Gram,
+    so scaling the weights by a power of two leaves ``v`` bit for bit
+    unchanged; an all-zero design gives the zero vector.
 
     Returns ``(v, 0.0)``, the ``(v, lam)`` of the other microsteps.
     """
@@ -215,8 +218,10 @@ def microstep_ls(A: np.ndarray, u: np.ndarray):
     if n < p:
         return np.linalg.lstsq(A, u, rcond=None)[0], 0.0
     G = A.T @ A
-    ridge = RIDGE_RTOL * max(float(np.diag(G).max()), 1.0)
-    return np.linalg.solve(G + ridge * np.eye(p), A.T @ u), 0.0
+    scale = float(np.diag(G).max())
+    if scale == 0.0:
+        return np.zeros(p), 0.0
+    return np.linalg.solve(G + RIDGE_RTOL * scale * np.eye(p), A.T @ u), 0.0
 
 
 def _ridge_fold_errors(G, b, lams, A, u, holds):

@@ -102,11 +102,6 @@ class DiffusionModel:
         return self.from_modes(self._mode_fields(np.asarray(x1, float), np.asarray(x2, float)), y)
 
 
-def coefficient(model: DiffusionModel, x, y):
-    x = np.asarray(x, dtype=float)
-    return model.coefficient(x[..., 0], x[..., 1], y)
-
-
 @functools.lru_cache(maxsize=16)
 def _grid_nodes(n: int):
     """Read-only node coordinates (X1, X2) of the n x n cell grid, "ij" indexed."""
@@ -393,33 +388,26 @@ def evaluate_target(tt: TensorTrain, points: np.ndarray) -> np.ndarray:
     return predict(tt, legendre_basis(tt.dims[0]), points)
 
 
-def _phase_cell(M, n, realizations, target, algorithm, dimension, n_test, seed,
-                max_rank, max_sweeps) -> float:
-    """One (order, sample count) cell; module-level so worker processes can
+def _phase_realization(M, n, rep, target, cfg, dimension, n_test, seed) -> float:
+    """Relative test error of one realization of the (order, sample count)
+    cell, NaN when recovery fails; module-level so worker processes can
     receive it."""
-    # built first so that a configuration error propagates instead of
-    # turning the cell into NaN
-    cfg = RecoveryConfig(algorithm=algorithm, max_rank=max_rank, max_sweeps=max_sweeps)
     tt = synthetic_target(target, M, dimension)
     basis = legendre_basis(dimension)
-    errs = []
-    for rep in range(realizations):
-        rng = np.random.default_rng([seed, M, n, rep])
-        pts = rng.uniform(-1.0, 1.0, (n, M))
-        vals = predict(tt, basis, pts)
-        test_rng = np.random.default_rng([seed, M, rep, 1_000_003])
-        tpts = test_rng.uniform(-1.0, 1.0, (n_test, M))
-        tvals = predict(tt, basis, tpts)
-        try:
-            report = recover(SampleSet(pts, vals), replace(cfg, seed=rep), basis)
-        except (RecoveryError, np.linalg.LinAlgError):
-            report = None
-        # a run that aborts before its first sweep has only the untrained start
-        if report is None or report.best_sweep < 0:
-            errs.append(np.nan)
-        else:
-            errs.append(relative_error(report.predict(tpts), tvals))
-    return float(np.mean(errs))
+    rng = np.random.default_rng([seed, M, n, rep])
+    pts = rng.uniform(-1.0, 1.0, (n, M))
+    vals = predict(tt, basis, pts)
+    test_rng = np.random.default_rng([seed, M, rep, 1_000_003])
+    tpts = test_rng.uniform(-1.0, 1.0, (n_test, M))
+    tvals = predict(tt, basis, tpts)
+    try:
+        report = recover(SampleSet(pts, vals), replace(cfg, seed=rep), basis)
+    except (RecoveryError, np.linalg.LinAlgError):
+        return np.nan
+    # a run that aborts before its first sweep has only the untrained start
+    if report.best_sweep < 0:
+        return np.nan
+    return relative_error(report.predict(tpts), tvals)
 
 
 def phase_diagram(orders, sample_counts, realizations: int = 20,
@@ -429,11 +417,12 @@ def phase_diagram(orders, sample_counts, realizations: int = 20,
                   jobs: int = 1) -> np.ndarray:
     """Mean relative test error per (order, sample count) cell.
 
-    Every cell averages over independent realizations; all realizations of
-    one (order, count) derive their RNG streams from (seed, order, count,
-    realization), so the matrix is reproducible cell by cell and
-    independent of ``jobs``, the number of processes that compute cells
-    (this one included).  Failed cells are recorded as NaN.
+    Every cell averages over independent realizations; realization ``rep``
+    of one (order, count) derives its RNG streams from (seed, order, count,
+    rep) and its recovery seed from ``rep``, so each realization's error,
+    and the mean over them in realization order, is independent of
+    ``jobs``, the number of processes that compute realizations (this one
+    included).  A failed realization counts as NaN, and so does its cell.
     """
     orders = [int(M) for M in orders]
     sample_counts = [int(n) for n in sample_counts]
@@ -449,9 +438,12 @@ def phase_diagram(orders, sample_counts, realizations: int = 20,
         raise BenchmarkError("test sample count must be >= 1")
     if jobs < 1:
         raise BenchmarkError("jobs must be >= 1")
-    params = [(M, n, realizations, target, algorithm, dimension, n_test, seed,
-               max_rank, max_sweeps) for M in orders for n in sample_counts]
-    cells = _map_processes(_phase_cell, params, jobs)
+    cfg = RecoveryConfig(algorithm=algorithm, max_rank=max_rank, max_sweeps=max_sweeps)
+    tasks = [(M, n, rep, target, cfg, dimension, n_test, seed)
+             for M in orders for n in sample_counts for rep in range(realizations)]
+    errs = _map_processes(_phase_realization, tasks, jobs)
+    cells = [np.mean(errs[i:i + realizations])
+             for i in range(0, len(errs), realizations)]
     return np.array(cells, dtype=float).reshape(len(orders), len(sample_counts))
 
 

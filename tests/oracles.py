@@ -11,6 +11,8 @@ loop that the batched fold-Gram scorer replaced; the reference diffusion
 solve is the sparse assembly and direct solve that the banded Cholesky
 solver replaced.
 """
+import math
+
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
@@ -86,15 +88,24 @@ def random_direction_sup(basis_values, n_directions, rng):
 
 def monte_carlo_local_variation(d1, d2, r, n_draws, rng):
     """Feasible-point sampling lower bound for the structured rank-1
-    local variation constant."""
+    local variation constant.
+
+    Draws the alphas, then per alpha a beta and, when its interval is
+    bounded, a gamma.  A scalar ``rng.uniform(lo, hi)`` is ``lo + (hi - lo)
+    * u`` for the stream's next double ``u``, so the loop replays those
+    doubles from one pre-drawn buffer with plain floats: the same values as
+    one ``uniform`` call per draw, at a fraction of the cost.
+    """
     best = 0.0
-    alphas = rng.uniform(1 - r, 1 + r, n_draws)
+    alphas = rng.uniform(1 - r, 1 + r, n_draws).tolist()
+    doubles = iter(rng.random(2 * n_draws).tolist())
     for alpha in alphas:
         a = abs(1 - alpha)
         if a == 0:
             continue
-        beta = rng.uniform(1 - a, 1 + a)
-        lo, hi = -np.inf, np.inf
+        lo, hi = 1 - a, 1 + a
+        beta = lo + (hi - lo) * next(doubles)
+        lo, hi = -math.inf, math.inf
         feasible = True
         for c in (alpha, beta):
             if c > 0:
@@ -105,7 +116,10 @@ def monte_carlo_local_variation(d1, d2, r, n_draws, rng):
                 feasible = False
         if not feasible or lo > hi:
             continue
-        gamma = rng.uniform(lo, hi) if np.isfinite(lo) and np.isfinite(hi) else 1.0
+        if math.isfinite(lo) and math.isfinite(hi):
+            gamma = lo + (hi - lo) * next(doubles)
+        else:
+            gamma = 1.0
         F = ((1 - alpha) ** 2 + (d2 - 1) * (1 - alpha * gamma) ** 2
              + (d1 - 1) * (1 - beta) ** 2
              + (d1 - 1) * (d2 - 1) * (1 - beta * gamma) ** 2)

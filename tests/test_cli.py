@@ -230,6 +230,27 @@ def test_bad_config_key_exit_2(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["missing/out", "taken"])
+@pytest.mark.parametrize("command", ["spectrum", "recover"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command, target):
+    # a missing directory fails at the temp file, a directory in the
+    # target's place at the rename; neither leaves a file behind
+    inputs, work = tmp_path / "in", tmp_path / "work"
+    inputs.mkdir()
+    (work / "taken").mkdir(parents=True)
+    out = work / target
+    if command == "spectrum":
+        argv = ["spectrum", "--d", "3", "--realizations", "2"]
+    else:
+        argv = ["recover", "--config", str(write_config(inputs, algorithm="als")),
+                "--samples", str(write_constant_fixture(inputs, n=60))]
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err and "internal error" not in err
+    assert [p.name for p in work.rglob("*")] == ["taken"]
+
+
 def test_sample_reader_weights_column(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("y_1,y_2,u,w\n0.1,0.2,1.0,2.0\n-0.3,0.4,2.0,0.5\n")

@@ -79,6 +79,30 @@ def test_duplicate_samples_equal_doubled_weights():
     assert np.abs(v_dup - v_w).max() <= 1e-10
 
 
+def test_als_unchanged_by_power_of_two_weights():
+    # weights 2^k scale the Gram, its ridge and A^T u by 2^k exactly, so the
+    # weighted least-squares fit moves by no bit, however small the weights
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1, 1, (60, 3))
+    values = np.exp(pts.sum(axis=1))
+    cfg = RecoveryConfig(algorithm="als", max_rank=2, max_sweeps=6, seed=0)
+    reports = [recover(SampleSet(pts, values, np.full(60, 2.0 ** k),
+                                 test_idx=np.arange(50, 60)), cfg, legendre_basis(4))
+               for k in (0, 200, -200, 600, -600)]
+    assert reports[0].val_errors[-1] < 0.5    # not the zero model
+    for report in reports[1:]:
+        assert report.train_errors == reports[0].train_errors
+        assert report.val_errors == reports[0].val_errors
+        assert report.test_error == reports[0].test_error
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(report.tt.components, reports[0].tt.components))
+
+
+def test_microstep_ls_zero_design_gives_zero_vector():
+    v, lam = microstep_ls(np.zeros((8, 3)), np.ones(8))
+    assert lam == 0.0 and np.array_equal(v, np.zeros(3))
+
+
 def test_microstep_l2_limits():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((40, 5))

@@ -408,3 +408,20 @@ def test_phase_diagram_jobs_parallel_matches_serial():
     serial = phase_diagram([2, 3], [30], jobs=1, **kwargs)
     parallel = phase_diagram([2, 3], [30], jobs=2, **kwargs)
     assert np.array_equal(serial, parallel)
+
+
+def test_phase_diagram_realizations_are_the_parallel_tasks(monkeypatch):
+    # one cell of three realizations is three tasks, so two jobs use two
+    # processes; the cell's mean does not depend on which process ran what
+    tasks_seen = []
+
+    def counting(fn, tasks, workers):
+        tasks_seen.append(len(tasks))
+        return _map_processes(fn, tasks, workers)
+
+    monkeypatch.setattr(uq_bench, "_map_processes", counting)
+    kwargs = dict(realizations=3, dimension=4, n_test=50, max_rank=2, max_sweeps=3)
+    serial = phase_diagram([3], [30], jobs=1, **kwargs)
+    parallel = phase_diagram([3], [30], jobs=2, **kwargs)
+    assert tasks_seen == [3, 3]
+    assert np.isfinite(serial[0, 0]) and np.array_equal(serial, parallel)
