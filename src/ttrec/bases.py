@@ -58,12 +58,14 @@ class UnivariateBasis:
     are kept as read-only copies.
     """
 
-    kind: str                 # "legendre" | "hermite"
+    kind: str                 # a key of BASES
     dimension: int
     transform: np.ndarray
     sup_norms: np.ndarray | None
 
     def __post_init__(self):
+        if self.kind not in BASES:
+            raise BasisError(f"unknown basis {self.kind!r}")
         T = np.array(self.transform, dtype=float, order="C")
         if T.shape != (self.dimension, self.dimension):
             raise BasisError("transform shape does not match dimension")
@@ -88,11 +90,9 @@ class UnivariateBasis:
         if self.kind == "legendre":
             V = npleg.legvander(points, d - 1)
             scale = np.sqrt(2 * np.arange(d) + 1)
-        elif self.kind == "hermite":
+        else:
             V = npherm.hermevander(points, d - 1)
             scale = 1.0 / np.sqrt([math.factorial(k) for k in range(d)])
-        else:
-            raise BasisError(f"unknown basis kind {self.kind!r}")
         return V * scale
 
     def _ref_derivatives(self, points: np.ndarray) -> np.ndarray:
@@ -104,13 +104,11 @@ class UnivariateBasis:
                 coef = np.zeros(k + 1)
                 coef[k] = np.sqrt(2 * k + 1)
                 out[..., k] = npleg.legval(points, npleg.legder(coef))
-        elif self.kind == "hermite":
+        else:
             # He_k' = k He_{k-1}  =>  normalized derivative is sqrt(k) ref_{k-1}
             ref = self._ref_values(points)
             for k in range(1, d):
                 out[..., k] = np.sqrt(k) * ref[..., k - 1]
-        else:
-            raise BasisError(f"unknown basis kind {self.kind!r}")
         return out
 
     def evaluate(self, points) -> np.ndarray:
@@ -152,6 +150,11 @@ def hermite_basis(d: int) -> UnivariateBasis:
     if d < 1:
         raise BasisError("dimension must be >= 1")
     return UnivariateBasis("hermite", d, np.eye(d), None)
+
+
+# the reference families by name (a basis's ``kind``): name -> constructor
+# taking the dimension
+BASES = {"legendre": legendre_basis, "hermite": hermite_basis}
 
 
 def _grid_sup_norms(basis: UnivariateBasis) -> np.ndarray:

@@ -17,15 +17,17 @@ import csv
 import datetime
 import json
 import sys
+import typing
 
 import numpy as np
 
 from . import __version__, tensor_core
-from .bases import legendre_basis, hermite_basis
-from .recovery import RecoveryConfig, RecoveryError, SampleSet, recover
+from .bases import BASES
+from .recovery import ALGORITHMS, RecoveryConfig, RecoveryError, SampleSet, recover
 from .tensor_core import atomic_open
-from .uq_bench import (BenchmarkError, DiffusionModel, generate_samples,
-                       phase_diagram, spectrum_experiment)
+from .uq_bench import (DIFFUSION_MODELS, TARGETS, WEIGHT_RULES, BenchmarkError,
+                       DiffusionModel, generate_samples, phase_diagram,
+                       spectrum_experiment)
 from .variation import VariationError, local_variation_rank1
 
 
@@ -150,13 +152,11 @@ def svg_heatmap(matrix, row_labels, col_labels, path, cell=40):
 # config and data files
 
 
-RECOVERY_KEYS = {
-    "algorithm": str, "max_rank": int, "initial_rank": int, "max_sweeps": int,
-    "stop_tol": float, "patience": int, "theta": float, "buffer": int,
-    "seed": int, "cv_folds": int, "lambda_grid_decades": float,
-    "lambda_grid_points": int, "validation_fraction": float, "gramian": str,
-}
-EXTRA_KEYS = {"basis": str, "dimension": int, "test_fraction": float}
+# the [recovery] keys: RecoveryConfig's fields with their types, and the
+# keys ``recover`` reads itself with their defaults (a value takes its
+# default's type)
+RECOVERY_KEYS = typing.get_type_hints(RecoveryConfig)
+EXTRA_KEYS = {"basis": "legendre", "dimension": 8, "test_fraction": 0.1}
 
 
 def read_recovery_config(path):
@@ -169,17 +169,20 @@ def read_recovery_config(path):
         raise CliError(f"cannot read config file {path}")
     if not parser.has_section("recovery"):
         raise CliError(f"{path}: missing [recovery] section")
-    cfg_kwargs = {}
-    extras = {"basis": "legendre", "dimension": 8, "test_fraction": 0.1}
+    cfg_kwargs, extras = {}, dict(EXTRA_KEYS)
     for key, raw in parser.items("recovery"):
-        table, into = ((RECOVERY_KEYS, cfg_kwargs) if key in RECOVERY_KEYS
-                       else (EXTRA_KEYS, extras))
-        if key not in table:
+        if key in RECOVERY_KEYS:
+            into, conv = cfg_kwargs, RECOVERY_KEYS[key]
+        elif key in EXTRA_KEYS:
+            into, conv = extras, type(EXTRA_KEYS[key])
+        else:
             raise CliError(f"{path}: unknown config key {key!r}")
         try:
-            into[key] = table[key](raw)
+            into[key] = conv(raw)
         except ValueError:
             raise CliError(f"{path}: bad value for {key}: {raw!r}")
+    if extras["basis"] not in BASES:
+        raise CliError(f"{path}: unknown basis {extras['basis']!r}")
     if extras["dimension"] < 1:
         raise CliError(f"{path}: dimension must be >= 1")
     if not 0.0 <= extras["test_fraction"] < 1.0:
@@ -254,12 +257,7 @@ def _parse_list(text, conv):
 def cmd_recover(args) -> int:
     cfg, extras = read_recovery_config(args.config)
     samples = read_sample_csv(args.samples)
-    if extras["basis"] == "legendre":
-        basis = legendre_basis(extras["dimension"])
-    elif extras["basis"] == "hermite":
-        basis = hermite_basis(extras["dimension"])
-    else:
-        raise CliError(f"unknown basis {extras['basis']!r}")
+    basis = BASES[extras["basis"]](extras["dimension"])
     # deterministic test/validation split driven by the config seed
     n = samples.size
     rng = np.random.default_rng(cfg.seed)
@@ -398,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", required=True, help="comma list of tensor orders")
     p.add_argument("--counts", required=True, help="comma list of sample counts")
     p.add_argument("--realizations", type=int, default=20)
-    p.add_argument("--target", choices=("ones", "exp_sum"), default="exp_sum")
-    p.add_argument("--algorithm", choices=("als", "als_l2", "rals", "r2als"), default="r2als")
+    p.add_argument("--target", choices=TARGETS, default="exp_sum")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="r2als")
     p.add_argument("--dimension", type=int, default=15)
     p.add_argument("--test-samples", type=int, default=1000)
     p.add_argument("--max-rank", type=int, default=4)
@@ -412,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("darcy-gen", help="sample the diffusion quantity of interest")
-    p.add_argument("--model", choices=("affine", "lognormal"), default="affine")
+    p.add_argument("--model", choices=DIFFUSION_MODELS, default="affine")
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--grid", type=int, default=64, help="FD cells per side")
     p.add_argument("--seed", type=int, default=0)
@@ -421,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="weighted vs plain Gaussian singular spectra")
     p.add_argument("--d", type=int, default=50)
-    p.add_argument("--weight", choices=("legendre", "ones"), default="legendre")
+    p.add_argument("--weight", choices=WEIGHT_RULES, default="legendre")
     p.add_argument("--realizations", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

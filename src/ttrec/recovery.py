@@ -466,6 +466,10 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     train_idx, val_idx = _split_samples(samples, config.validation_fraction, config.seed)
     if len(train_idx) == 0:
         raise RecoveryError("the sample split leaves no training samples")
+    # a weightless partition would fit nothing, or score every sweep 0.0
+    for name, idx in (("training", train_idx), ("validation", val_idx)):
+        if len(idx) and samples.weights[idx].sum() == 0.0:
+            raise RecoveryError(f"the {name} partition has zero total weight")
     if config.algorithm != "als" and len(train_idx) < config.cv_folds:
         raise RecoveryError(f"{len(train_idx)} training samples are fewer than the "
                             f"{config.cv_folds} cross-validation folds")

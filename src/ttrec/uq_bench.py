@@ -36,6 +36,17 @@ class BenchmarkError(ValueError):
     pass
 
 
+# the names each experiment accepts; the command line offers the same ones
+DIFFUSION_MODELS = ("affine", "lognormal")
+TARGETS = ("ones", "exp_sum")            # phase-diagram targets
+WEIGHT_RULES = ("legendre", "ones")      # spectrum-experiment weights
+
+
+def _check_choice(what: str, value, choices) -> None:
+    if value not in choices:
+        raise BenchmarkError(f"unknown {what} {value!r}")
+
+
 def __getattr__(name):
     # the benchmark tracer (bench/layers.py) wraps ``splinalg.spsolve``
     # here; resolving the name lazily keeps scipy.sparse out of every run
@@ -57,12 +68,11 @@ class DiffusionModel:
     harmonic-number normalization.
     """
 
-    kind: str = "affine"       # affine | lognormal
+    kind: str = "affine"       # one of DIFFUSION_MODELS
     n_params: int = 20
 
     def __post_init__(self):
-        if self.kind not in ("affine", "lognormal"):
-            raise BenchmarkError(f"unknown diffusion model {self.kind!r}")
+        _check_choice("diffusion model", self.kind, DIFFUSION_MODELS)
         if self.n_params < 1:
             raise BenchmarkError("n_params must be >= 1")
 
@@ -373,14 +383,13 @@ def synthetic_target(kind: str, order: int, dimension: int) -> TensorTrain:
     ``ones``:    all-ones coefficient tensor (the adversarial flat tensor).
     ``exp_sum``: coefficients of exp(y_1 + ... + y_M) projected per mode.
     """
+    _check_choice("target", kind, TARGETS)
     basis = legendre_basis(dimension)
     if kind == "ones":
         c = np.ones(dimension)
-    elif kind == "exp_sum":
+    else:
         x, w = basis.quadrature(4 * dimension + 40)
         c = basis.evaluate(x).T @ (w * np.exp(x))
-    else:
-        raise BenchmarkError(f"unknown target {kind!r}")
     return TensorTrain(tuple(c.reshape(1, dimension, 1) for _ in range(order)))
 
 
@@ -423,6 +432,8 @@ def phase_diagram(orders, sample_counts, realizations: int = 20,
     and the mean over them in realization order, is independent of
     ``jobs``, the number of processes that compute realizations (this one
     included).  A failed realization counts as NaN, and so does its cell.
+    Every argument, ``target`` and the recovery configuration included, is
+    checked before a worker process starts.
     """
     orders = [int(M) for M in orders]
     sample_counts = [int(n) for n in sample_counts]
@@ -430,6 +441,7 @@ def phase_diagram(orders, sample_counts, realizations: int = 20,
         raise BenchmarkError("orders must be positive")
     if any(n < 1 for n in sample_counts):
         raise BenchmarkError("sample counts must be positive")
+    _check_choice("target", target, TARGETS)
     if realizations < 1:
         raise BenchmarkError("realizations must be >= 1")
     if dimension < 1:
@@ -473,12 +485,8 @@ def spectrum_experiment(d: int = 50, weight: str = "legendre",
         raise BenchmarkError("dimension must be >= 1")
     if realizations < 1:
         raise BenchmarkError("realizations must be >= 1")
-    if weight == "legendre":
-        W = legendre_weight_matrix(d)
-    elif weight == "ones":
-        W = np.ones((d, d))
-    else:
-        raise BenchmarkError(f"unknown weight rule {weight!r}")
+    _check_choice("weight rule", weight, WEIGHT_RULES)
+    W = legendre_weight_matrix(d) if weight == "legendre" else np.ones((d, d))
     k = d // 2 if tail_index is None else int(tail_index)
     rng = np.random.default_rng(seed)
     plain = np.empty((realizations, d))

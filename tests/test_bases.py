@@ -161,3 +161,8 @@ def test_basis_owns_its_arrays():
     base[:] = 7.0
     sup[:] = 7.0
     assert np.array_equal(b.transform, transform) and np.array_equal(b.sup_norms, sup_norms)
+
+
+def test_unknown_basis_kind_rejected():
+    with pytest.raises(BasisError, match="unknown basis 'chebyshev'"):
+        UnivariateBasis("chebyshev", 2, np.eye(2), None)

@@ -9,7 +9,7 @@ import pytest
 
 import ttrec
 from ttrec import uq_bench
-from ttrec.cli import main, read_sample_csv
+from ttrec.cli import build_parser, main, read_sample_csv
 from ttrec.uq_bench import BenchmarkError, _qois
 
 
@@ -198,7 +198,8 @@ def test_recover_fewer_samples_than_cv_folds_exit_2(tmp_path, capsys):
     ("lambda_grid_decades", 0), ("lambda_grid_decades", -1),
     ("validation_fraction", 1.2), ("test_fraction", -0.1), ("test_fraction", 1.5),
     ("dimension", 0), ("patience", 0), ("stop_tol", -0.001),
-    ("initial_rank", 3), ("gramian", "bogus"), ("max_rank", "x"), ("dimension", "x")])
+    ("initial_rank", 3), ("gramian", "bogus"), ("max_rank", "x"), ("dimension", "x"),
+    ("basis", "chebyshev")])
 def test_recover_out_of_range_config_exit_2(tmp_path, capsys, key, value):
     samples = write_constant_fixture(tmp_path, n=100)
     algorithm = "als" if key in ("validation_fraction", "test_fraction", "gramian") else "r2als"
@@ -209,7 +210,35 @@ def test_recover_out_of_range_config_exit_2(tmp_path, capsys, key, value):
     assert rc == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert key in err and "internal error" not in err
+    assert f"error: {cfg}: " in err and key in err and "internal error" not in err
+
+
+def test_cli_choices_are_the_library_choices():
+    # every choice list of the command line is the library's own object
+    from ttrec.recovery import ALGORITHMS
+    from ttrec.uq_bench import DIFFUSION_MODELS, TARGETS, WEIGHT_RULES
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    choices = {(sub, action.dest): action.choices
+               for sub, p in subparsers.items() for action in p._actions
+               if action.choices is not None}
+    expected = {("phase-diagram", "target"): TARGETS,
+                ("phase-diagram", "algorithm"): ALGORITHMS,
+                ("darcy-gen", "model"): DIFFUSION_MODELS,
+                ("spectrum", "weight"): WEIGHT_RULES}
+    assert choices.keys() == expected.keys()
+    assert all(choices[key] is obj for key, obj in expected.items())
+
+
+def test_recover_zero_weights_exit_2(tmp_path, capsys):
+    samples = write_constant_fixture(tmp_path, n=60)
+    lines = samples.read_text().splitlines()
+    samples.write_text("\n".join([lines[0] + ",w"] + [line + ",0.0" for line in lines[1:]])
+                       + "\n")
+    out = tmp_path / "m.tt"
+    rc = main(["recover", "--config", str(write_config(tmp_path)), "--samples", str(samples),
+               "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert "error: the training partition has zero total weight" in capsys.readouterr().err
 
 
 def test_recover_missing_file_exit_2(tmp_path, capsys):

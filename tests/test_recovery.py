@@ -521,6 +521,27 @@ def test_all_zero_values_recover_the_zero_function(algorithm):
     assert np.all(report.predict(rng.uniform(-1, 1, (50, 3))) == 0.0)
 
 
+@pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
+def test_zero_weight_partition_raises(algorithm):
+    # a weightless validation set would score every sweep 0.0 and keep sweep
+    # 0; weightless training rows would report 0.0 everywhere
+    rng = np.random.default_rng(34)
+    pts = rng.uniform(-1, 1, (60, 3))
+    vals = np.exp(pts.sum(axis=1))
+    cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=3, seed=0)
+    w_val = np.ones(60)
+    w_val[48:] = 0.0
+    split = dict(train_idx=np.arange(48), val_idx=np.arange(48, 60))
+    with pytest.raises(RecoveryError, match="the validation partition has zero total weight"):
+        recover(SampleSet(pts, vals, w_val, **split), cfg, legendre_basis(4))
+    with pytest.raises(RecoveryError, match="the training partition has zero total weight"):
+        recover(SampleSet(pts, vals, np.zeros(60)), cfg, legendre_basis(4))
+    # weight on a single validation sample is enough
+    w_val[50] = 1.0
+    report = recover(SampleSet(pts, vals, w_val, **split), cfg, legendre_basis(4))
+    assert report.aborted is None and min(report.val_errors) > 0.0
+
+
 def test_recover_determinism():
     rng = np.random.default_rng(20)
     basis = legendre_basis(5)

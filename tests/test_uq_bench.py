@@ -315,6 +315,26 @@ def test_phase_diagram_rejects_empty_parameter_spaces(kwargs, message):
         phase_diagram(**args)
 
 
+def test_phase_diagram_checks_target_before_starting_processes(monkeypatch):
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    def no_pool(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
+    with pytest.raises(BenchmarkError, match="unknown target 'nope'"):
+        phase_diagram([2], [30], realizations=3, target="nope", jobs=2)
+
+
+def test_unknown_choices_raise_benchmark_error():
+    with pytest.raises(BenchmarkError, match="unknown target 'nope'"):
+        synthetic_target("nope", 2, 3)
+    with pytest.raises(BenchmarkError, match="unknown diffusion model 'nope'"):
+        DiffusionModel("nope")
+    with pytest.raises(BenchmarkError, match="unknown weight rule 'nope'"):
+        spectrum_experiment(d=3, weight="nope", realizations=1)
+
+
 def test_phase_diagram_config_errors_propagate(monkeypatch):
     with pytest.raises(RecoveryError, match="unknown algorithm"):
         phase_diagram([2], [30], realizations=1, algorithm="nope")
