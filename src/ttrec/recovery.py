@@ -7,7 +7,8 @@ Four microstep flavors share one sweep engine:
 * ``rals``    -- weighted LASSO in the eigenbasis of the local Gramian of the
                  model space (rotation by Q, weights sqrt(S), rotation back),
 * ``r2als``   -- plain LASSO after a one-time Gramian-orthonormalization of
-                 the univariate basis (no resubstitution needed).
+                 the univariate basis; the returned train is mapped back to
+                 the caller's basis.
 
 Each sweep right-orthogonalizes the train, builds the per-sample interface
 stacks on the training partition, and walks modes left to right: it solves
@@ -15,8 +16,9 @@ the configured microstep on the design rows read from the stacks,
 left-orthogonalizes the updated component, adapts the bond rank via the
 stable/unstable singular-value split, and advances the stacks one mode.
 The best-validation iterate is returned since the LASSO microsteps make
-the error sequences non-monotonic.  Every penalty, and the full-data fit
-at it, comes from one k-fold driver, ``sparse_solver.cross_validate``.
+the error sequences non-monotonic; the test error is that iterate's.
+Every penalty, and the full-data fit at it, comes from one k-fold driver,
+``sparse_solver.cross_validate``.
 """
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import UnivariateBasis, diag_sup_gramian, gramian_orthonormalize, h1_gramian
-from .sparse_solver import cross_validate, cv_select_lambda, debias_on_support, lambda_grid
+from .sparse_solver import (SparseSolverError, cross_validate, cv_select_lambda,
+                            debias_on_support, lambda_grid)
 from .sparse_solver import lasso_solve  # noqa: F401 - the benchmark tracer (bench/layers.py) wraps it here
 from .tensor_core import (TensorTrain, canonicalize, design_matrix, fixed_interface,
                           tt_evaluate_batch, tt_random)
@@ -166,14 +169,14 @@ class RecoveryConfig:
 
 @dataclass
 class RecoveryReport:
-    tt: TensorTrain
-    basis: UnivariateBasis        # working basis (transformed for r2als)
+    tt: TensorTrain               # best iterate, coefficients in ``basis``
+    basis: UnivariateBasis        # the basis passed to ``recover``
     train_errors: list
     val_errors: list
     rank_history: list            # ranks after every sweep
     lambdas: list                 # chosen penalty per microstep, per sweep
     best_sweep: int
-    test_error: float = None
+    test_error: float = None      # best iterate's on ``test_idx``; None if empty
     underdetermined: list = field(default_factory=list)
     aborted: str = None
 
@@ -347,21 +350,20 @@ def microstep_r2als(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0
 
 
 def rank_adapt(tt: TensorTrain, m: int, theta: float, buffer: int,
-               max_rank: int = None, rng=None) -> TensorTrain:
+               max_rank: int, rng) -> TensorTrain:
     """Adapt the bond rank right of mode ``m`` by the stable/unstable split.
 
     The core is left-orthogonalized by SVD; singular values at least
     ``theta`` times the largest are stable.  The unstable group is resized
     to exactly ``buffer`` members, dropping the smallest values or injecting
-    random directions of magnitude 1e-3 times the smallest stable value.
-    The new rank is capped by ``max_rank`` and the dimension bound; the core
-    moves to mode ``m + 1``.
+    random directions of magnitude 1e-3 times the smallest stable value,
+    drawn from ``rng``.  The new rank is capped by ``max_rank`` and the
+    dimension bound; the core moves to mode ``m + 1``.
     """
     if m >= tt.order - 1:
         raise RecoveryError("no bond to adapt right of the last mode")
     if not tt.is_canonical_at(m):
         raise RecoveryError(f"train is not canonical at mode {m}")
-    rng = np.random.default_rng() if rng is None else rng
     comps = list(tt.components)
     rl, d, rm = comps[m].shape
     U, s, Vt = np.linalg.svd(comps[m].reshape(rl * d, rm), full_matrices=False)
@@ -373,10 +375,7 @@ def rank_adapt(tt: TensorTrain, m: int, theta: float, buffer: int,
         stable, inject = 1, 0.0
     nxt = comps[m + 1]
     dim_cap = min(rl * d, nxt.shape[1] * nxt.shape[2])
-    target = stable + buffer
-    if max_rank is not None:
-        target = min(target, max_rank)
-    target = max(1, min(target, dim_cap))
+    target = max(1, min(stable + buffer, max_rank, dim_cap))
     carry = (s[:, None] * Vt) @ nxt.reshape(rm, -1)
     if target <= k:
         U = U[:, :target]
@@ -449,16 +448,17 @@ def _split_samples(samples: SampleSet, fraction: float, seed: int):
 def recover(samples: SampleSet, config: RecoveryConfig,
             basis: UnivariateBasis) -> RecoveryReport:
     """Run the configured sweep algorithm and return the best-validation
-    iterate with per-sweep diagnostics."""
+    iterate, in ``basis`` for every algorithm, with per-sweep diagnostics.
+    A singular or non-finite sweep ends the run, recorded in ``aborted``."""
     if samples.size == 0:
         raise RecoveryError("no samples")
     M = samples.order
     rng = np.random.default_rng(config.seed)
 
-    work_basis = basis
-    gramians = None
+    work_basis, T, gramians = basis, None, None
     if config.algorithm == "r2als":
-        work_basis, _ = gramian_orthonormalize(basis, _select_gramian(basis, config.gramian))
+        # coefficients c in work_basis are T c in basis
+        work_basis, T = gramian_orthonormalize(basis, _select_gramian(basis, config.gramian))
     elif config.algorithm == "rals":
         g = _select_gramian(basis, config.gramian)
         gramians = [g.matrix] * M
@@ -467,8 +467,9 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     if len(train_idx) == 0:
         raise RecoveryError("the sample split leaves no training samples")
     # a weightless partition would fit nothing, or score every sweep 0.0
-    for name, idx in (("training", train_idx), ("validation", val_idx)):
-        if len(idx) and samples.weights[idx].sum() == 0.0:
+    for name, idx in (("training", train_idx), ("validation", val_idx),
+                      ("test", samples.test_idx)):
+        if idx is not None and len(idx) and samples.weights[idx].sum() == 0.0:
             raise RecoveryError(f"the {name} partition has zero total weight")
     if config.algorithm != "als" and len(train_idx) < config.cv_folds:
         raise RecoveryError(f"{len(train_idx)} training samples are fewer than the "
@@ -486,13 +487,16 @@ def recover(samples: SampleSet, config: RecoveryConfig,
         scale = rms if rms > 0 else 1.0
     tt = _initial_tt((d,) * M, (config.initial_rank,) * max(M - 1, 0), rng, scale)
 
-    report = RecoveryReport(tt=tt, basis=work_basis, train_errors=[], val_errors=[],
+    report = RecoveryReport(tt=tt, basis=basis, train_errors=[], val_errors=[],
                             rank_history=[], lambdas=[], best_sweep=-1)
     cv = (config.cv_folds, config.seed, config.lambda_grid_decades,
           config.lambda_grid_points)
     best_err = np.inf
     marker_err = np.inf
     stall = 0
+
+    def error(pred, idx):   # every partition is scored from the sweep's pred
+        return relative_error(pred[idx], samples.values[idx], samples.weights[idx])
 
     for sweep in range(config.max_sweeps):
         try:
@@ -518,15 +522,13 @@ def recover(samples: SampleSet, config: RecoveryConfig,
                     tt = rank_adapt(tt, m, config.theta, config.buffer,
                                     config.max_rank, rng)
                     stacks.advance(tt)
-        except (RecoveryError, np.linalg.LinAlgError) as exc:
+        except (RecoveryError, SparseSolverError, np.linalg.LinAlgError) as exc:
             report.aborted = f"sweep {sweep}: {exc}"
             break
 
         pred = tt_evaluate_batch(tt, B)
-        err_train = relative_error(pred[train_idx], samples.values[train_idx],
-                                   samples.weights[train_idx])
-        err_val = relative_error(pred[val_idx], samples.values[val_idx],
-                                 samples.weights[val_idx]) if len(val_idx) else err_train
+        err_train = error(pred, train_idx)
+        err_val = error(pred, val_idx) if len(val_idx) else err_train
         report.train_errors.append(err_train)
         report.val_errors.append(err_val)
         report.rank_history.append(tt.ranks)
@@ -536,6 +538,8 @@ def recover(samples: SampleSet, config: RecoveryConfig,
             best_err = err_val
             report.tt = tt
             report.best_sweep = sweep
+            if samples.test_idx is not None and len(samples.test_idx):
+                report.test_error = error(pred, samples.test_idx)
         if err_val <= marker_err * (1.0 - config.stop_tol):
             marker_err = err_val
             stall = 0
@@ -544,9 +548,7 @@ def recover(samples: SampleSet, config: RecoveryConfig,
         if stall >= config.patience:
             break
 
-    if samples.test_idx is not None and report.best_sweep >= 0:
-        idx = samples.test_idx
-        pred = predict(report.tt, work_basis, samples.points[idx])
-        report.test_error = relative_error(pred, samples.values[idx],
-                                           samples.weights[idx])
+    if T is not None:
+        report.tt = TensorTrain(tuple(np.einsum("jk,lkr->ljr", T, c)
+                                      for c in report.tt.components))
     return report

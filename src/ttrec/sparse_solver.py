@@ -416,10 +416,12 @@ def cross_validate(A, y, lams, folds: int, seed: int, fold_errors) -> CvReport:
     ``fold_errors(G, b, lams, A, y, holds)`` gets the F fold Grams and then
     all rows' and returns the (L, F) held-out errors of the folds' fits and
     ``fit(k)``, the full-data fit at ``lams[k]``.  Among lambdas tying at
-    the minimum fold mean, the largest wins.
-    """
+    the minimum fold mean, the largest wins.  Non-finite Grams raise
+    ``SparseSolverError``."""
     holds = fold_indices(A.shape[0], folds, seed)
     G, b = _fold_grams(A, y, holds)
+    if not (np.isfinite(G).all() and np.isfinite(b).all()):
+        raise SparseSolverError("cross-validation Grams are not finite")
     errors, fit = fold_errors(G, b, lams, A, y, holds)
     mean_errors = errors.mean(axis=1)
     k = int(np.argmax(mean_errors <= mean_errors.min()))  # first = largest

@@ -393,10 +393,6 @@ def synthetic_target(kind: str, order: int, dimension: int) -> TensorTrain:
     return TensorTrain(tuple(c.reshape(1, dimension, 1) for _ in range(order)))
 
 
-def evaluate_target(tt: TensorTrain, points: np.ndarray) -> np.ndarray:
-    return predict(tt, legendre_basis(tt.dims[0]), points)
-
-
 def _phase_realization(M, n, rep, target, cfg, dimension, n_test, seed) -> float:
     """Relative test error of one realization of the (order, sample count)
     cell, NaN when recovery fails; module-level so worker processes can

@@ -9,6 +9,7 @@ import pytest
 
 import ttrec
 from ttrec import uq_bench
+from ttrec.bases import legendre_basis
 from ttrec.cli import build_parser, main, read_sample_csv
 from ttrec.uq_bench import BenchmarkError, _qois
 
@@ -145,6 +146,65 @@ def test_recover_abort_after_a_sweep_writes_model_and_exits_1(tmp_path, capsys, 
     assert doc["aborted"].startswith("sweep 1:") and doc["best_sweep"] == 0
     err = capsys.readouterr().err
     assert "recover: aborted: sweep 1: left interface Gramian vanished" in err
+    assert "internal error" not in err
+
+
+def cli_split(n, seed, test_fraction=0.1, validation_fraction=0.2):
+    """The (train, val, test) partitions ``ttrec recover`` draws for ``n``
+    samples from the config's seed and fractions."""
+    perm = np.random.default_rng(seed).permutation(n)
+    n_test = int(round(test_fraction * n))
+    rest = perm[n_test:]
+    n_val = max(1, int(round(validation_fraction * len(rest))))
+    return np.sort(rest[n_val:]), np.sort(rest[:n_val]), np.sort(perm[:n_test])
+
+
+def test_recover_model_is_in_the_config_basis(tmp_path, capsys):
+    # r2als sweeps in a Gramian-orthonormal copy of the basis; the model file
+    # holds the library's train mapped back to the config's basis
+    from ttrec.recovery import RecoveryConfig, SampleSet, predict, recover
+    from ttrec.tensor_core import load_tt
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1, 1, (120, 3))
+    vals = np.exp(pts.sum(axis=1) / 3.0)
+    lines = ["y_1,y_2,y_3,u"] + [",".join(repr(float(v)) for v in [*row, val])
+                                 for row, val in zip(pts, vals)]
+    samples = tmp_path / "samples.csv"
+    samples.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "model.tt"
+    rc = main(["recover", "--config", str(write_config(tmp_path)), "--samples", str(samples),
+               "--out", str(out)])
+    assert rc == 0
+    train, val, test = cli_split(120, seed=1)
+    report = recover(SampleSet(pts, vals, train_idx=train, val_idx=val, test_idx=test),
+                     RecoveryConfig(algorithm="r2als", max_rank=2, max_sweeps=4, seed=1),
+                     legendre_basis(5))
+    model = load_tt(out)
+    assert all(np.array_equal(a, b) for a, b in zip(model.components, report.tt.components))
+    np.testing.assert_allclose(predict(model, legendre_basis(5), pts), report.predict(pts),
+                               rtol=1e-12, atol=0)
+    assert f"test error {report.test_error:.3e}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
+def test_recover_overflowing_basis_values_abort(tmp_path, capsys, algorithm):
+    # one training sample at y_1 = 1e100 overflows the basis values, so the
+    # first microstep's design rows hold inf or NaN: every algorithm aborts
+    # typed (als in its SVD, the others in the cross-validation Grams)
+    samples = write_constant_fixture(tmp_path, n=60)
+    lines = samples.read_text().splitlines()
+    row = int(cli_split(60, seed=1)[0][0])
+    lines[1 + row] = "1e100," + lines[1 + row].split(",", 1)[1]
+    samples.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "m.tt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["recover", "--config", str(write_config(tmp_path, algorithm=algorithm)),
+                   "--samples", str(samples), "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    err = capsys.readouterr().err
+    reason = ("SVD did not converge" if algorithm == "als"
+              else "cross-validation Grams are not finite")
+    assert f"no sweep completed (aborted: sweep 0: {reason})" in err
     assert "internal error" not in err
 
 

@@ -426,7 +426,7 @@ def test_rank_adapt_requires_canonical_form():
     rng = np.random.default_rng(15)
     tt = tt_random((4, 4, 4), (2, 2), rng)
     with pytest.raises(RecoveryError):
-        rank_adapt(tt, 1, 0.1, 1, rng=rng)
+        rank_adapt(tt, 1, 0.1, 1, max_rank=3, rng=rng)
 
 
 def test_rank_adapt_synthetic_rank2_settles_at_three():
@@ -524,22 +524,53 @@ def test_all_zero_values_recover_the_zero_function(algorithm):
 @pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
 def test_zero_weight_partition_raises(algorithm):
     # a weightless validation set would score every sweep 0.0 and keep sweep
-    # 0; weightless training rows would report 0.0 everywhere
+    # 0, a weightless test set would report test error 0.0, and weightless
+    # training rows would report 0.0 everywhere
     rng = np.random.default_rng(34)
     pts = rng.uniform(-1, 1, (60, 3))
     vals = np.exp(pts.sum(axis=1))
     cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=3, seed=0)
-    w_val = np.ones(60)
-    w_val[48:] = 0.0
-    split = dict(train_idx=np.arange(48), val_idx=np.arange(48, 60))
+    w = np.ones(60)
+    w[48:] = 0.0
+    held_out = np.arange(48, 60)
+    split = dict(train_idx=np.arange(48), val_idx=held_out)
     with pytest.raises(RecoveryError, match="the validation partition has zero total weight"):
-        recover(SampleSet(pts, vals, w_val, **split), cfg, legendre_basis(4))
+        recover(SampleSet(pts, vals, w, **split), cfg, legendre_basis(4))
+    with pytest.raises(RecoveryError, match="the test partition has zero total weight"):
+        recover(SampleSet(pts, vals, w, test_idx=held_out), cfg, legendre_basis(4))
     with pytest.raises(RecoveryError, match="the training partition has zero total weight"):
         recover(SampleSet(pts, vals, np.zeros(60)), cfg, legendre_basis(4))
-    # weight on a single validation sample is enough
-    w_val[50] = 1.0
-    report = recover(SampleSet(pts, vals, w_val, **split), cfg, legendre_basis(4))
+    # weight on a single held-out sample is enough; an empty test set reports none
+    w[50] = 1.0
+    report = recover(SampleSet(pts, vals, w, **split), cfg, legendre_basis(4))
     assert report.aborted is None and min(report.val_errors) > 0.0
+    report = recover(SampleSet(pts, vals, w, test_idx=held_out), cfg, legendre_basis(4))
+    assert report.aborted is None and report.test_error > 0.0
+    assert recover(SampleSet(pts, vals, test_idx=[]), cfg, legendre_basis(4)).test_error is None
+
+
+@pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
+def test_report_is_in_the_callers_basis(algorithm):
+    # r2als sweeps in a Gramian-orthonormal copy of the basis and maps its
+    # train back: every report's train evaluates in the basis passed in, and
+    # its errors are those of that train
+    rng = np.random.default_rng(35)
+    basis = legendre_basis(4)
+    pts = rng.uniform(-1, 1, (80, 3))
+    vals = np.exp(pts.sum(axis=1) / 3.0)
+    train, val, test = np.arange(50), np.arange(50, 65), np.arange(65, 80)
+    samples = SampleSet(pts, vals, train_idx=train, val_idx=val, test_idx=test)
+    cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=3, seed=0)
+    report = recover(samples, cfg, basis)
+    assert report.basis is basis
+    tpts = rng.uniform(-1, 1, (50, 3))
+    np.testing.assert_allclose(predict(report.tt, basis, tpts), report.predict(tpts),
+                               rtol=1e-12, atol=0)
+    for idx, err in ((val, report.val_errors[report.best_sweep]),
+                     (test, report.test_error)):
+        recomputed = relative_error(predict(report.tt, basis, pts[idx]), vals[idx])
+        assert err == pytest.approx(recomputed, rel=1e-12)
+    assert report.test_error < 0.1
 
 
 def test_recover_determinism():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from ttrec import uq_bench
-from ttrec.recovery import (RecoveryConfig, RecoveryError, SampleSet, recover,
-                            relative_error)
+from ttrec.recovery import (RecoveryConfig, RecoveryError, SampleSet, predict,
+                            recover, relative_error)
 from ttrec.tensor_core import tt_evaluate_batch, tt_rank
 from ttrec.bases import legendre_basis
-from ttrec.uq_bench import (BenchmarkError, DiffusionModel, evaluate_target,
-                            generate_samples, legendre_weight_matrix,
-                            phase_diagram, qoi, solve_diffusion,
-                            spectrum_experiment, synthetic_target)
+from ttrec.uq_bench import (BenchmarkError, DiffusionModel, generate_samples,
+                            legendre_weight_matrix, phase_diagram, qoi,
+                            solve_diffusion, spectrum_experiment, synthetic_target)
 from ttrec.uq_bench import (_checkerboard, _condense, _grid_nodes, _map_processes,
                             _mode_stack)
 
@@ -283,7 +282,7 @@ def test_exp_sum_target_matches_exponential():
     tt = synthetic_target("exp_sum", 3, 15)
     rng = np.random.default_rng(6)
     pts = rng.uniform(-1, 1, (50, 3))
-    vals = evaluate_target(tt, pts)
+    vals = predict(tt, legendre_basis(15), pts)
     assert np.abs(vals / np.exp(pts.sum(axis=1)) - 1).max() <= 1e-10
 
 
@@ -292,7 +291,7 @@ def test_ones_target_is_product_of_basis_sums():
     basis = legendre_basis(5)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1, 1, (20, 2))
-    vals = evaluate_target(tt, pts)
+    vals = predict(tt, basis, pts)
     expect = basis.evaluate(pts[:, 0]).sum(1) * basis.evaluate(pts[:, 1]).sum(1)
     assert np.allclose(vals, expect)
 
