@@ -449,9 +449,17 @@ def recover(samples: SampleSet, config: RecoveryConfig,
             basis: UnivariateBasis) -> RecoveryReport:
     """Run the configured sweep algorithm and return the best-validation
     iterate, in ``basis`` for every algorithm, with per-sweep diagnostics.
-    A singular or non-finite sweep ends the run, recorded in ``aborted``."""
+    A point outside ``basis.domain`` raises ``RecoveryError``; a singular or
+    non-finite sweep ends the run, recorded in ``aborted``."""
     if samples.size == 0:
         raise RecoveryError("no samples")
+    lo, hi = basis.domain   # a polynomial basis outside it takes any size
+    outside = (samples.points < lo) | (samples.points > hi)
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise RecoveryError(f"sample {i} (counting from 0) has y_{j + 1} = "
+                            f"{float(samples.points[i, j])!r}, outside the {basis.kind} "
+                            f"basis's domain [{lo}, {hi}]")
     M = samples.order
     rng = np.random.default_rng(config.seed)
 

@@ -96,7 +96,9 @@ def _homotopy(G, b, h, lams):
     coordinate joins where its correlation ``c = b - G x`` reaches ``+-lam
     * h``, and leaves where its value crosses zero.  The F paths advance
     one breakpoint each per iteration, so the array operations of a step
-    are shared; a shorter support is padded with identity rows.
+    are shared; a shorter support is padded with identity rows.  A support
+    is kept per coordinate, as its sign and the step it joined at, and each
+    step lists it in join order, the order of the sums in the solves.
 
     What keeps it exact on degenerate data: ``c`` and ``x`` are recomputed
     from each segment's solve, never accumulated; a column whose Schur
@@ -120,27 +122,27 @@ def _homotopy(G, b, h, lams):
         none = np.zeros((f.size, 0))
         yield (f, np.zeros(f.size, dtype=np.intp), none.astype(np.intp), none, none,
                np.zeros(f.size, dtype=np.intp), lo[f])
-    # supports in join order and their signs, padded with column 0 and sign
-    # 0; the last of the p + 1 columns is always padding
-    S = np.zeros((F, p + 1), dtype=np.intp)
-    signs = np.zeros((F, p + 1))
-    S[:, 0] = first
-    signs[:, 0] = np.where(b[problems, first] > 0, 1.0, -1.0)
-    size = np.ones(F, dtype=np.intp)
+    # each problem's support: signs[f, j] is +-1 on it and 0 off it, and
+    # joined[f, j] the step at which j joined (inf off it), so sorting by
+    # joined lists the support in join order
+    signs = np.zeros((F, p))
+    joined = np.full((F, p), np.inf)
+    signs[problems, first] = np.where(b[problems, first] > 0, 1.0, -1.0)
+    joined[problems, first] = 0.0
     xq = np.zeros((F, p, 2))              # each problem's x and path direction q
-    active = np.zeros((F, p), dtype=bool)
-    active[problems, first] = True
     neg_lams = -lams                      # ascending, for searchsorted
-    columns = np.arange(p + 1)
     fl = np.flatnonzero(lo < n_grid)      # the live problems
-    for _ in range(10 * p + 100):         # a few p steps per path in practice
+    for step in range(1, 10 * p + 101):   # a few p steps per path in practice
         if not fl.size:
             return
         rows = np.arange(fl.size)
-        sizes = size[fl]
-        k_max = sizes.max()
-        Sa = S[fl, :k_max]
-        s = signs[fl, :k_max]
+        member = signs[fl] != 0.0
+        sizes = member.sum(1)
+        # at least one column: argmin needs one, and an empty support's leave
+        # index 0 must be in range
+        k_max = max(sizes.max(), 1)
+        Sa = np.argsort(joined[fl], axis=1, kind="stable")[:, :k_max]
+        s = signs[fl[:, None], Sa]
         pad = s == 0.0
         padded = k_max > sizes.min()
         GSS = G[fl[:, None, None], Sa[:, :, None], Sa[:, None, :]]
@@ -172,13 +174,12 @@ def _homotopy(G, b, h, lams):
         g_down = np.divide(np.maximum(lam_f[:, None] * h + c, 0.0), down,
                            out=np.full(up.shape, np.inf), where=down > 0)
         g_join = np.minimum(g_up, g_down)
-        g_join[active[fl]] = np.inf
-        # leave: a coordinate moving towards zero reaches it (the last column
-        # keeps argmin defined should rounding ever empty a support)
+        g_join[member] = np.inf
+        # leave: a coordinate moving towards zero reaches it
         sq = s * q
-        g_leave = np.full((fl.size, k_max + 1), np.inf)
+        g_leave = np.full((fl.size, k_max), np.inf)
         np.divide(np.maximum(s * (w - lam_f[:, None] * q), 0.0), -sq,
-                  out=g_leave[:, :-1], where=sq < 0)
+                  out=g_leave, where=sq < 0)
         kl = g_leave.argmin(1)
         gamma_leave = g_leave[rows, kl]
         while True:
@@ -215,21 +216,14 @@ def _homotopy(G, b, h, lams):
         # the move to the next breakpoint; a path with no breakpoint left
         # (lam_next = -inf) is done, and nothing reads its state again
         xq[sf, sj, 0] = x_next[on]
-        if join.any():
-            fj, at = fl[join], sizes[join]
-            S[fj, at] = jn[join]
-            signs[fj, at] = np.where(plus[join], 1.0, -1.0)
-            active[fj, jn[join]] = True
+        fj, jj = fl[join], jn[join]
+        signs[fj, jj] = np.where(plus[join], 1.0, -1.0)
+        joined[fj, jj] = step
         if not join.all():
-            fv, kv = fl[~join], kl[~join]
-            left = S[fv, kv]
+            fv, left = fl[~join], Sa[rows, kl][~join]
             xq[fv, left, 0] = 0.0
-            active[fv, left] = False
-            # drop position kv; the padding of the last column fills the end
-            keep = columns != kv[:, None]
-            S[fv, :p] = S[fv][keep].reshape(fv.size, p)
-            signs[fv, :p] = signs[fv][keep].reshape(fv.size, p)
-        size[fl] += np.where(join, 1, -1)
+            signs[fv, left] = 0.0
+            joined[fv, left] = np.inf
         lam[fl] = lam_next
         go = hi_f < n_grid
         fl = fl[go]

@@ -186,26 +186,44 @@ def test_recover_model_is_in_the_config_basis(tmp_path, capsys):
     assert f"test error {report.test_error:.3e}" in capsys.readouterr().out
 
 
+def move_first_coordinate(samples, row, value):
+    """Rewrites ``y_1`` of sample ``row`` (counting from 0) in a sample CSV."""
+    lines = samples.read_text().splitlines()
+    lines[1 + row] = f"{value}," + lines[1 + row].split(",", 1)[1]
+    samples.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
 def test_recover_overflowing_basis_values_abort(tmp_path, capsys, algorithm):
-    # one training sample at y_1 = 1e100 overflows the basis values, so the
-    # first microstep's design rows hold inf or NaN: every algorithm aborts
-    # typed (als in its SVD, the others in the cross-validation Grams)
+    # one training sample at y_1 = 1e100 overflows the Hermite basis values,
+    # so the first microstep's design rows hold inf or NaN: every algorithm
+    # aborts typed (als in its SVD, the others in the cross-validation Grams)
     samples = write_constant_fixture(tmp_path, n=60)
-    lines = samples.read_text().splitlines()
-    row = int(cli_split(60, seed=1)[0][0])
-    lines[1 + row] = "1e100," + lines[1 + row].split(",", 1)[1]
-    samples.write_text("\n".join(lines) + "\n")
+    move_first_coordinate(samples, int(cli_split(60, seed=1)[0][0]), "1e100")
     out = tmp_path / "m.tt"
+    cfg = write_config(tmp_path, algorithm=algorithm, basis="hermite")
     with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["recover", "--config", str(write_config(tmp_path, algorithm=algorithm)),
-                   "--samples", str(samples), "--out", str(out)])
+        rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+                   "--out", str(out)])
     assert rc == 1 and not out.exists()
     err = capsys.readouterr().err
     reason = ("SVD did not converge" if algorithm == "als"
               else "cross-validation Grams are not finite")
     assert f"no sweep completed (aborted: sweep 0: {reason})" in err
     assert "internal error" not in err
+
+
+def test_recover_point_outside_the_basis_domain_exits_2(tmp_path, capsys):
+    # a Legendre basis takes any size outside [-1, 1]: a point there is a
+    # data error, named before any sweep
+    samples = write_constant_fixture(tmp_path, n=60)
+    move_first_coordinate(samples, 0, "1e30")
+    out = tmp_path / "m.tt"
+    rc = main(["recover", "--config", str(write_config(tmp_path, algorithm="als")),
+               "--samples", str(samples), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == ("error: sample 0 (counting from 0) has y_1 = 1e+30, "
+                                       "outside the legendre basis's domain [-1.0, 1.0]\n")
 
 
 def test_recover_hermite_basis_end_to_end(tmp_path, capsys):

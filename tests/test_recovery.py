@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -571,6 +573,27 @@ def test_report_is_in_the_callers_basis(algorithm):
         recomputed = relative_error(predict(report.tt, basis, pts[idx]), vals[idx])
         assert err == pytest.approx(recomputed, rel=1e-12)
     assert report.test_error < 0.1
+
+
+@pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
+def test_points_outside_the_basis_domain_raise(algorithm):
+    # a Legendre basis grows without bound outside [-1, 1], so one such point
+    # would dominate the fit; the Hermite basis is defined on every point
+    rng = np.random.default_rng(36)
+    pts = rng.uniform(-1, 1, (60, 3))
+    pts[3] = (1.0, -1.0, 0.0)           # the domain's ends are inside it
+    vals = np.exp(pts.sum(axis=1) / 3.0)
+    cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=2, seed=0)
+    for i, j, y in ((7, 1, 1.5), (59, 2, -1.0000000000000002), (0, 0, 1e30)):
+        bad = pts.copy()
+        bad[i, j] = y
+        msg = (f"sample {i} (counting from 0) has y_{j + 1} = {y!r}, outside the "
+               "legendre basis's domain [-1.0, 1.0]")
+        with pytest.raises(RecoveryError, match=re.escape(msg)):
+            recover(SampleSet(bad, vals, test_idx=[i]), cfg, legendre_basis(4))
+    assert recover(SampleSet(pts, vals), cfg, legendre_basis(4)).aborted is None
+    pts[7, 1] = 1.5
+    assert recover(SampleSet(pts, vals), cfg, hermite_basis(4)).aborted is None
 
 
 def test_recover_determinism():

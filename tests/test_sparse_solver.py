@@ -301,6 +301,29 @@ def test_path_kkt_at_every_grid_lambda():
             assert np.allclose(alone, X[:, f], rtol=1e-10, atol=1e-12)
 
 
+def test_path_lists_supports_in_join_order():
+    # the G_SS solves and the held-out scoring sum over a support in the
+    # order its coordinates joined, so that order fixes the results' bits.
+    # On a diagonal G no coordinate leaves, and j joins at lam = |b_j| / h_j
+    G = np.diag([1.0, 2.0, 0.5, 3.0, 1.5])
+    b = np.array([0.3, -2.0, 0.9, 4.0, -0.1])
+    h = np.full(5, 0.5)
+    order = [3, 1, 2, 0, 4]              # not index order
+    perm = np.array([4, 2, 0, 3, 1])     # the same problem, coordinates renamed
+    Gs = np.stack([G, G[np.ix_(perm, perm)]])
+    bs = np.stack([b, b[perm]])
+    expected = [order, [int(np.flatnonzero(perm == j)[0]) for j in order]]
+    lams = np.geomspace(10.0, 0.01, 25)
+    sizes = set()
+    for f, S, q, w, lo, hi in _segments(Gs, bs, h, lams):
+        assert S.tolist() == expected[f][:S.size]
+        sizes.add(S.size)
+        x = w - lams[lo] * q
+        soft = soft_threshold(bs[f], lams[lo] * h) / np.diag(Gs[f])
+        assert np.allclose(x, soft[S], rtol=1e-12, atol=0)
+    assert sizes == {0, 1, 2, 3, 4, 5}
+
+
 def test_path_matches_prox_gradient_oracle():
     rng = np.random.default_rng(14)
     A = rng.standard_normal((20, 12))
