@@ -165,6 +165,8 @@ class RecoveryConfig:
             raise RecoveryError("lambda_grid_decades must be > 0")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise RecoveryError("validation_fraction must lie in [0, 1)")
+        if self.seed < 0:
+            raise RecoveryError("seed must be >= 0")
 
 
 @dataclass

@@ -14,9 +14,13 @@ written by earlier versions, which solved it, differ in the last digits.
 Recovery only ever sees (parameter, value) pairs, so any consistent
 discretization serves.
 
-The band solve is the package's only use of scipy.  ``solve_diffusion``
-imports it at its first call, so importing this module, and with it the
-command line, loads no scipy.
+The band solve is the package's only use of scipy: LAPACK ``dpbsv``, the
+routine behind ``scipy.linalg.solveh_banded``.  ``_band_solve`` loads it at
+its first call from scipy's compiled ``scipy/linalg/_flapack`` extension
+alone, without running ``scipy/__init__`` or ``scipy/linalg/__init__``,
+whose array-API layer costs about 0.2-0.3 s and 25 MB; the extension costs
+about 5 ms and 2.5 MB.  So importing this module, and with it the command
+line, loads no scipy, and a PDE solve loads only that extension.
 """
 from __future__ import annotations
 
@@ -45,6 +49,16 @@ WEIGHT_RULES = ("legendre", "ones")      # spectrum-experiment weights
 def _check_choice(what: str, value, choices) -> None:
     if value not in choices:
         raise BenchmarkError(f"unknown {what} {value!r}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise BenchmarkError("seed must be >= 0")
+
+
+def _check_grid(n: int) -> None:
+    if n < 8:
+        raise BenchmarkError("grid must have at least 8 cells per side")
 
 
 def __getattr__(name):
@@ -220,6 +234,49 @@ def _condense(a: np.ndarray, n: int):
     return ab, w, inv_d
 
 
+@functools.cache
+def _lapack_dpbsv():
+    """LAPACK ``dpbsv`` from scipy's ``scipy/linalg/_flapack`` extension.
+
+    The extension is found in scipy's package directory and loaded by file,
+    so neither scipy's nor scipy.linalg's ``__init__`` runs.  The extension
+    is initialized once per process (single-phase), so an ``import
+    scipy.linalg`` before or after this shares the routine.
+    """
+    import importlib.machinery
+    import importlib.util
+    name = "scipy.linalg._flapack"
+    spec = importlib.util.find_spec("scipy")
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+                return module.dpbsv
+    raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+
+
+def _band_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric positive definite system held in LAPACK upper band
+    storage ``ab`` for ``rhs`` by banded Cholesky (LAPACK ``dpbsv``, as
+    ``scipy.linalg.solveh_banded`` does).  Neither input is modified."""
+    # unlike solveh_banded this makes no pass for finite values: the
+    # coefficient, f, the face sums d and the condensed diagonal are checked
+    # finite before, and the weights w = c / d lie in [0, 1], so every entry
+    # of ab and rhs is finite
+    _, x, info = _lapack_dpbsv()(ab, rhs)
+    if info > 0:
+        raise BenchmarkError(f"diffusion system cannot be solved: the leading "
+                             f"minor of order {info} is not positive definite")
+    if info < 0:
+        raise BenchmarkError(f"diffusion system cannot be solved: argument "
+                             f"{-info} of LAPACK dpbsv has an illegal value")
+    return x
+
+
 def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
     """Solve -div(a grad u) = f with zero Dirichlet data on an n x n cell grid.
 
@@ -230,12 +287,12 @@ def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
     broadcast to the node grid (a constant serves).  Face coefficients are
     harmonic means of the node values.  The red nodes of the checkerboard
     split are eliminated exactly, the symmetric positive definite system on
-    the black nodes is solved by banded Cholesky (LAPACK ``pbsv``), and the
-    red values follow by back-substitution; the field agrees with a
-    full-operator solve to about 1e-14 relative.
+    the black nodes is solved by banded Cholesky (``_band_solve``, LAPACK
+    ``dpbsv`` from scipy's ``_flapack`` extension), and the red values follow
+    by back-substitution; the field agrees with a full-operator solve to
+    about 1e-14 relative.
     """
-    if n < 8:
-        raise BenchmarkError("grid must have at least 8 cells per side")
+    _check_grid(n)
     if isinstance(model_or_field, DiffusionModel):
         a = model_or_field.from_modes(_mode_stack(model_or_field, n), y)
     else:
@@ -268,13 +325,9 @@ def solve_diffusion(model_or_field, y=None, n: int = 64, f=None) -> np.ndarray:
     g[:-1] += wW[1:] * F[1:]
     g[:, 1:] += wN[:, :-1] * F[:, :-1]
     g[:, :-1] += wS[:, 1:] * F[:, 1:]
-    from scipy.linalg import solveh_banded  # here, so only a PDE solve loads scipy
-    try:
-        ub = solveh_banded(ab, g.reshape(-1)[black])
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        # the checks in _condense catch over- and underflow; this reports a
-        # system that is still not numerically positive definite
-        raise BenchmarkError(f"diffusion system cannot be solved: {exc}") from exc
+    # the checks in _condense catch over- and underflow; _band_solve reports
+    # a system that is still not numerically positive definite
+    ub = _band_solve(ab, g.reshape(-1)[black])
     u = np.zeros((k, k))
     u.reshape(-1)[black] = ub
     field = np.zeros((n + 1, n + 1))
@@ -362,6 +415,8 @@ def generate_samples(model: DiffusionModel, n_samples: int, seed: int = 0,
     """
     if n_samples < 1:
         raise BenchmarkError("need at least one sample")
+    _check_seed(seed)
+    _check_grid(grid)
     rng = np.random.default_rng(seed)
     if model.measure == "uniform":
         pts = rng.uniform(-1.0, 1.0, (n_samples, model.n_params))
@@ -446,6 +501,7 @@ def phase_diagram(orders, sample_counts, realizations: int = 20,
         raise BenchmarkError("test sample count must be >= 1")
     if jobs < 1:
         raise BenchmarkError("jobs must be >= 1")
+    _check_seed(seed)
     cfg = RecoveryConfig(algorithm=algorithm, max_rank=max_rank, max_sweeps=max_sweeps)
     tasks = [(M, n, rep, target, cfg, dimension, n_test, seed)
              for M in orders for n in sample_counts for rep in range(realizations)]
@@ -482,6 +538,7 @@ def spectrum_experiment(d: int = 50, weight: str = "legendre",
     if realizations < 1:
         raise BenchmarkError("realizations must be >= 1")
     _check_choice("weight rule", weight, WEIGHT_RULES)
+    _check_seed(seed)
     W = legendre_weight_matrix(d) if weight == "legendre" else np.ones((d, d))
     k = d // 2 if tail_index is None else int(tail_index)
     rng = np.random.default_rng(seed)

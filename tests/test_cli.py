@@ -459,6 +459,24 @@ def test_darcy_gen_worker_error_exit_2(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("command", ["darcy-gen --n 2 --grid 8",
+                                     "phase-diagram --orders 2 --counts 30",
+                                     "spectrum", "recover"])
+def test_negative_seed_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "recover":
+        cfg = write_config(tmp_path, seed=-1)
+        argv = ["recover", "--config", str(cfg),
+                "--samples", str(write_constant_fixture(tmp_path, n=100))]
+        expected = f"error: {cfg}: seed must be >= 0"
+    else:
+        argv = command.split() + ["--seed", "-1"]
+        expected = "error: seed must be >= 0"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == expected
+    assert not out.exists()
+
+
 def test_phase_diagram_bad_count_exit_2(tmp_path, capsys):
     out = tmp_path / "phase.csv"
     rc = main(["phase-diagram", "--orders", "2", "--counts", "0",
@@ -565,6 +583,16 @@ def test_import_loads_no_scipy():
                    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_darcy_gen_loads_only_scipys_lapack_extension(tmp_path):
+    proc = _python("import sys\n"
+                   "from ttrec.cli import main\n"
+                   "rc = main(['darcy-gen', '--n', '8', '--grid', '16', '--out', sys.argv[1]])\n"
+                   "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                   str(tmp_path / "darcy.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 ['scipy.linalg._flapack']"
 
 
 _WITHOUT_SCIPY = """

@@ -170,6 +170,41 @@ def test_solver_matches_sparse_reference():
                 assert abs(qoi(field, n) - qoi(ref, n)) <= 1e-12 * abs(qoi(ref, n))
 
 
+@pytest.mark.parametrize("kind", ("affine", "lognormal"))
+def test_band_solve_matches_solveh_banded(monkeypatch, kind):
+    # solveh_banded calls the same LAPACK routine after its finiteness
+    # passes; a scipy whose _flapack extension changed would fail here
+    from scipy.linalg import solveh_banded
+    rng = np.random.default_rng(14)
+    model = DiffusionModel(kind)
+    runs = []
+    for n in (8, 16, 64):
+        y = rng.uniform(-1, 1, 20) if kind == "affine" else rng.standard_normal(20)
+        for f in (None, lambda X1, X2: np.exp(X1) * np.cos(3 * X2)):
+            runs.append(((model, y, n, f), solve_diffusion(model, y, n, f)))
+    monkeypatch.setattr(uq_bench, "_band_solve", solveh_banded)
+    for args, field in runs:
+        assert np.array_equal(solve_diffusion(*args), field)
+
+
+def test_band_solve_rejects_an_indefinite_band():
+    ab = np.array([[0.0, 1.0, 1.0], [4.0, -1.0, 4.0]])    # upper storage, kd = 1
+    rhs = np.ones(3)
+    with pytest.raises(BenchmarkError, match="leading minor of order 2 is not positive definite"):
+        uq_bench._band_solve(ab, rhs)
+    ab[1, 1] = 4.0
+    x = uq_bench._band_solve(ab, rhs)
+    assert np.allclose(band_to_dense(ab) @ x, rhs, rtol=0, atol=1e-15)
+    assert np.array_equal(ab[1], [4.0, 4.0, 4.0]) and np.array_equal(rhs, np.ones(3))
+
+
+def test_band_solve_shares_scipy_linalgs_routine():
+    # the extension is initialized once per process, whichever of the two
+    # loads it first
+    from scipy.linalg import lapack
+    assert uq_bench._lapack_dpbsv() is lapack.dpbsv
+
+
 def test_splinalg_resolves_on_demand():
     # the benchmark tracer wraps uq_bench.splinalg.spsolve
     assert callable(uq_bench.splinalg.spsolve)
@@ -314,15 +349,37 @@ def test_phase_diagram_rejects_empty_parameter_spaces(kwargs, message):
         phase_diagram(**args)
 
 
-def test_phase_diagram_checks_target_before_starting_processes(monkeypatch):
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    """Fail any test that starts a worker pool, on any number of CPUs."""
     from concurrent.futures.process import ProcessPoolExecutor
 
     def no_pool(self, *args, **kwargs):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
+    monkeypatch.setattr(uq_bench, "_cpu_count", lambda: 2)
+
+
+def test_phase_diagram_checks_target_before_starting_processes(no_process_pool):
     with pytest.raises(BenchmarkError, match="unknown target 'nope'"):
         phase_diagram([2], [30], realizations=3, target="nope", jobs=2)
+
+
+def test_generate_samples_checks_grid_before_starting_processes(no_process_pool):
+    with pytest.raises(BenchmarkError, match="grid must have at least 8 cells per side"):
+        generate_samples(DiffusionModel("affine"), 200, grid=4)
+
+
+def test_negative_seeds_raise_before_starting_processes(no_process_pool):
+    with pytest.raises(BenchmarkError, match="seed must be >= 0"):
+        generate_samples(DiffusionModel("affine"), 200, seed=-1)
+    with pytest.raises(BenchmarkError, match="seed must be >= 0"):
+        phase_diagram([2], [30], realizations=3, seed=-1, jobs=2)
+    with pytest.raises(BenchmarkError, match="seed must be >= 0"):
+        spectrum_experiment(d=3, realizations=1, seed=-1)
+    with pytest.raises(RecoveryError, match="seed must be >= 0"):
+        RecoveryConfig(seed=-1)
 
 
 def test_unknown_choices_raise_benchmark_error():
