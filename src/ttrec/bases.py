@@ -77,10 +77,6 @@ class UnivariateBasis:
             object.__setattr__(self, "sup_norms", s)
 
     @property
-    def measure(self) -> str:
-        return "uniform" if self.kind == "legendre" else "gaussian"
-
-    @property
     def domain(self) -> tuple:
         return (-1.0, 1.0) if self.kind == "legendre" else (-np.inf, np.inf)
 

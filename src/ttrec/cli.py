@@ -304,6 +304,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_variation(args) -> int:
+    if args.seed < 0:
+        raise CliError("seed must be >= 0")
     ds = _parse_list(args.d, int)
     rs = _parse_list(args.r, float)
     rows = [(d, r, local_variation_rank1(d, d, r, args.grid).value)
@@ -389,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=41, help="alpha/beta grid resolution")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None, help="optional SVG line plot")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the manifest only: the estimator draws nothing")
     p.set_defaults(func=cmd_variation)
 
     p = sub.add_parser("phase-diagram", help="mean recovery error over (order, samples) grid")
@@ -404,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sweeps", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="processes that solve realizations in parallel")
+                   help="processes that solve realizations in parallel "
+                        "(at most one per CPU of the affinity mask)")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None, help="optional SVG heatmap")
     p.set_defaults(func=cmd_phase_diagram)

@@ -61,10 +61,6 @@ class LassoProblem:
         object.__setattr__(self, "omega", w)
 
 
-def soft_threshold(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 def _kkt_from_gram(Gx, b, thresholds, x) -> float:
     """KKT violation computed from the gradient ``Gx - b``.
 

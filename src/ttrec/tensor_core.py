@@ -236,18 +236,6 @@ def tt_rank(tt: TensorTrain) -> tuple:
     return tuple(reversed(ranks))
 
 
-def insert_gauge(tt: TensorTrain, m: int, A: np.ndarray) -> TensorTrain:
-    """Insert ``(A, A^{-1})`` between components ``m`` and ``m+1``.
-
-    Leaves the represented tensor unchanged (representation non-uniqueness).
-    """
-    A = np.asarray(A, dtype=float)
-    comps = list(tt.components)
-    comps[m] = np.tensordot(comps[m], A, axes=(2, 0))
-    comps[m + 1] = np.tensordot(np.linalg.inv(A), comps[m + 1], axes=(1, 0))
-    return TensorTrain(tuple(comps))
-
-
 # ---------------------------------------------------------------------------
 # fixed-interface operator and per-sample interface stacks
 
@@ -339,22 +327,9 @@ def design_matrix(stacks: InterfaceStacks, weights=None) -> np.ndarray:
     return A
 
 
-def tt_evaluate(tt: TensorTrain, basis_values) -> float:
-    """Value of the represented function for one point, given per-mode
-    basis vectors ``b(y_m)``."""
-    v = np.ones(1)
-    for comp, b in zip(tt.components, basis_values):
-        b = np.asarray(b, dtype=float)
-        if b.shape != (comp.shape[1],):
-            raise TensorTrainError(
-                f"basis vector length {b.shape} != mode dimension {comp.shape[1]}")
-        v = np.einsum("l,ler,e->r", v, comp, b)
-    return float(v[0])
-
-
 def tt_evaluate_batch(tt: TensorTrain, basis_values) -> np.ndarray:
-    """Vectorized :func:`tt_evaluate` over per-mode arrays of shape (n, d_m):
-    the left interface pushed through every mode."""
+    """Values of the represented function at n points, given per-mode basis
+    values of shape (n, d_m): the left interface pushed through every mode."""
     if len(basis_values) == 0:
         raise TensorTrainError("no basis values given")
     L = np.ones((len(basis_values[0]), 1))

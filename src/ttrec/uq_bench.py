@@ -358,7 +358,8 @@ def _cpu_count() -> int:
 
 
 def _map_processes(fn, tasks: list, workers: int) -> list:
-    """``[fn(*task) for task in tasks]`` on up to ``workers`` processes.
+    """``[fn(*task) for task in tasks]`` on up to ``workers`` processes, and
+    never more than :func:`_cpu_count` or one per task.
 
     This process runs the first task while a pool of the others takes the
     rest in order; then it runs, last first, the tasks no worker has
@@ -367,7 +368,7 @@ def _map_processes(fn, tasks: list, workers: int) -> list:
     reaches the caller, and the pool's ``with`` block joins every worker
     before this returns or raises.
     """
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(tasks), _cpu_count())
     if workers < 2:
         return [fn(*task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -481,8 +482,9 @@ def phase_diagram(orders, sample_counts, realizations: int = 20,
     of one (order, count) derives its RNG streams from (seed, order, count,
     rep) and its recovery seed from ``rep``, so each realization's error,
     and the mean over them in realization order, is independent of
-    ``jobs``, the number of processes that compute realizations (this one
-    included).  A failed realization counts as NaN, and so does its cell.
+    ``jobs``, the most processes that compute realizations (this one
+    included; no more than the CPUs in the affinity mask).  A failed
+    realization counts as NaN, and so does its cell.
     Every argument, ``target`` and the recovery configuration included, is
     checked before a worker process starts.
     """

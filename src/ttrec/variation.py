@@ -3,9 +3,9 @@
 The variation function of a model class assigns to every point the largest
 squared value attained there by a norm-one element of the class.  For a
 linear span with an L2-orthonormal basis it is the pointwise sum of squares
-of the basis functions; direct sums add, tensor products multiply, unions
-take the pointwise maximum.  Everything here is evaluated on grids or sample
-clouds, never symbolically: sup-norms are grid maxima.
+of the basis functions; direct sums add, tensor products multiply.
+Everything here is evaluated on grids or sample clouds, never symbolically:
+sup-norms are grid maxima.
 """
 from __future__ import annotations
 
@@ -24,15 +24,13 @@ class VariationError(ValueError):
 class VariationGrid:
     """Tabulated variation-function values over a point grid or cloud.
 
-    ``weights`` are sampling weights w(y) (default 1), ``quad_weights`` are
-    probability-quadrature weights for the underlying measure (default
-    uniform 1/n) used for L1 norms.  All four arrays are kept as read-only
-    copies.
+    ``quad_weights`` are probability-quadrature weights for the underlying
+    measure (default uniform 1/n) used for L1 norms.  All three arrays are
+    kept as read-only copies.
     """
 
     points: np.ndarray
     values: np.ndarray
-    weights: np.ndarray = None
     quad_weights: np.ndarray = None
 
     def __post_init__(self):
@@ -43,21 +41,16 @@ class VariationGrid:
             raise VariationError("values length does not match points")
         if np.any(vals < 0):
             raise VariationError("variation values must be nonnegative")
-        w = np.ones(n) if self.weights is None else np.array(self.weights, float)
         q = np.full(n, 1.0 / n) if self.quad_weights is None \
             else np.array(self.quad_weights, float)
-        if w.shape != (n,) or q.shape != (n,):
-            raise VariationError("weight arrays must match point count")
-        for arr, name in ((pts, "points"), (vals, "values"), (w, "weights"), (q, "quad_weights")):
+        if q.shape != (n,):
+            raise VariationError("quadrature weights must match point count")
+        for arr, name in ((pts, "points"), (vals, "values"), (q, "quad_weights")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def sup(self) -> float:
         return float(self.values.max())
-
-    def weighted_sup(self) -> float:
-        """Grid estimate of the weighted sup-norm sup_y w(y) K(y)."""
-        return float((self.weights * self.values).max())
 
     def l1_norm(self) -> float:
         """Quadrature estimate of the L1(rho) norm of K."""
@@ -73,7 +66,7 @@ def uniform_grid(n: int, lo: float = -1.0, hi: float = 1.0):
     return pts, q
 
 
-def variation_of_span(basis_values, points, quad_weights=None, weights=None) -> VariationGrid:
+def variation_of_span(basis_values, points, quad_weights=None) -> VariationGrid:
     """Variation function of a span from its orthonormal basis evaluations.
 
     ``basis_values`` has shape (n, k): row i holds the k orthonormal basis
@@ -83,8 +76,7 @@ def variation_of_span(basis_values, points, quad_weights=None, weights=None) -> 
     if B.ndim != 2 or B.shape[1] == 0:
         raise VariationError("need a nonempty (n, k) basis-value matrix")
     vals = np.einsum("nk,nk->n", B, B)
-    return VariationGrid(np.asarray(points, float), vals,
-                         weights=weights, quad_weights=quad_weights)
+    return VariationGrid(np.asarray(points, float), vals, quad_weights=quad_weights)
 
 
 def _check_aligned(a: VariationGrid, b: VariationGrid):
@@ -95,62 +87,13 @@ def _check_aligned(a: VariationGrid, b: VariationGrid):
 def variation_sum(a: VariationGrid, b: VariationGrid) -> VariationGrid:
     """Direct sum of orthogonal classes: values add pointwise."""
     _check_aligned(a, b)
-    return VariationGrid(a.points, a.values + b.values,
-                         weights=a.weights, quad_weights=a.quad_weights)
+    return VariationGrid(a.points, a.values + b.values, quad_weights=a.quad_weights)
 
 
 def variation_product(a: VariationGrid, b: VariationGrid) -> VariationGrid:
     """Tensor product (or independent product) of classes: values multiply."""
     _check_aligned(a, b)
-    return VariationGrid(a.points, a.values * b.values,
-                         weights=a.weights, quad_weights=a.quad_weights)
-
-
-def variation_union(a: VariationGrid, b: VariationGrid) -> VariationGrid:
-    """Union of classes: pointwise maximum."""
-    _check_aligned(a, b)
-    return VariationGrid(a.points, np.maximum(a.values, b.values),
-                         weights=a.weights, quad_weights=a.quad_weights)
-
-
-def optimal_weight(k: VariationGrid) -> np.ndarray:
-    """Sampling weight attaining the lower bound of the weighted sup-norm.
-
-    Returns w(y) = ||K||_{L1} / K(y) on the grid; with it, w*K is constant
-    and the quadrature of 1/w against rho is approximately 1.
-    """
-    if np.any(k.values <= 0):
-        raise VariationError("variation function vanishes on the grid")
-    return k.l1_norm() / k.values
-
-
-def sample_optimal_weights(basis, order: int, n: int, seed: int = 0,
-                           grid_size: int = 4001):
-    """Draw points from the variation-optimal density of a product span.
-
-    For the tensor-product span of ``basis`` the variation function
-    factorizes over modes, so the optimal sampling density does too:
-    per mode, points follow ``K_d(t) rho(t) / d`` (inverse-CDF on a grid)
-    and the returned weights are ``w(y) = prod_m d / K_d(y_m)``.  Off by
-    default everywhere; the uniform weight ``w = 1`` is the standard
-    choice.
-    """
-    lo, hi = basis.domain
-    if not np.isfinite(lo):
-        raise VariationError("optimal-weight sampling needs a bounded domain")
-    pts, q = uniform_grid(grid_size, lo, hi)
-    B = basis.evaluate(pts)
-    kvals = np.einsum("nk,nk->n", B, B)
-    density = q * kvals / basis.dimension
-    cdf = np.cumsum(density)
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 1.0, (n, order))
-    points = np.interp(u, np.concatenate([[0.0], cdf]), np.concatenate([[lo], pts]))
-    B = basis.evaluate(points)
-    kp = np.einsum("nmk,nmk->nm", B, B)
-    weights = np.prod(basis.dimension / kp, axis=1)
-    return points, weights
+    return VariationGrid(a.points, a.values * b.values, quad_weights=a.quad_weights)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ def prox_gradient_lasso(A, y, omega, lam, iters=100_000, tol=1e-14):
     return x
 
 
+def soft_threshold(x, t):
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
 def lasso_objective(A, y, omega, lam, v):
     r = y - A @ v
     return float(r @ r + lam * np.abs(omega * v).sum())
@@ -132,7 +136,7 @@ def reference_cd_gram(G, b, thresholds, x0, max_sweeps=10_000, obj_rtol=1e-10,
                       kkt_tol=None):
     """Batched cyclic coordinate descent, one plain array expression per
     step.  Returns (x, sweeps)."""
-    from ttrec.sparse_solver import _kkt_from_gram, soft_threshold
+    from ttrec.sparse_solver import _kkt_from_gram
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
     t = np.asarray(thresholds, dtype=float)

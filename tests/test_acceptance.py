@@ -11,15 +11,14 @@ import pytest
 from ttrec.bases import legendre_basis
 from ttrec.recovery import (RecoveryConfig, SampleSet, recover,
                             relative_error)
-from ttrec.sparse_solver import (LassoProblem, kkt_residual, lasso_solve,
-                                 soft_threshold)
+from ttrec.sparse_solver import LassoProblem, kkt_residual, lasso_solve
 from ttrec.tensor_core import (TensorTrain, left_orthogonalize,
                                tt_evaluate_batch, tt_svd, tt_to_dense)
 from ttrec.variation import (local_variation_rank1, microstep_variation,
                              uniform_grid, variation_of_span,
                              variation_product, variation_sum)
 
-from oracles import poisson_unit_square_qoi, prox_gradient_lasso
+from oracles import poisson_unit_square_qoi, prox_gradient_lasso, soft_threshold
 
 
 def report(line):

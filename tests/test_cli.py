@@ -461,7 +461,8 @@ def test_darcy_gen_worker_error_exit_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["darcy-gen --n 2 --grid 8",
                                      "phase-diagram --orders 2 --counts 30",
-                                     "spectrum", "recover"])
+                                     "spectrum", "recover",
+                                     "variation --d 2 --r 1 --grid 5"])
 def test_negative_seed_exit_2(tmp_path, capsys, command):
     out = tmp_path / "out"
     if command == "recover":

@@ -8,11 +8,11 @@ from ttrec.sparse_solver import (KKT_TOL, ConvergenceWarning, CvReport,
                                  LassoProblem, SparseSolverError,
                                  cv_select_lambda, debias_on_support,
                                  fold_indices, kkt_residual, lambda_grid,
-                                 lasso_solve, soft_threshold)
+                                 lasso_solve)
 from ttrec.sparse_solver import _fold_grams, _homotopy, _kkt_from_gram
 
 from oracles import (lasso_objective, prox_gradient_lasso, reference_cd_gram,
-                     reference_cv_errors)
+                     reference_cv_errors, soft_threshold)
 
 
 def test_problem_validation():

@@ -6,9 +6,9 @@ import pytest
 
 from ttrec import tensor_core
 from ttrec.tensor_core import (TensorTrain, TensorTrainError, canonicalize,
-                               design_matrix, fixed_interface, insert_gauge,
+                               design_matrix, fixed_interface,
                                left_orthogonalize, load_tt, right_orthogonalize,
-                               save_tt, tt_evaluate, tt_evaluate_batch,
+                               save_tt, tt_evaluate_batch,
                                tt_random, tt_rank, tt_svd, tt_to_dense)
 
 from oracles import dense_embedding, unfolding_ranks
@@ -132,15 +132,6 @@ def test_tt_rank_redundant_representation():
     assert tt_rank(inflated) == (2, 2)
 
 
-def test_gauge_invariance():
-    rng = np.random.default_rng(7)
-    tt = tt_random((3, 4, 3), (2, 2), rng)
-    A = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-    gauged = insert_gauge(tt, 0, A)
-    assert np.allclose(tt_to_dense(gauged), tt_to_dense(tt), atol=1e-12)
-    assert tt_rank(gauged) == tt_rank(tt)
-
-
 def test_fixed_interface_requires_canonical_form():
     rng = np.random.default_rng(8)
     tt = tt_random((3, 3, 3), (2, 2), rng)
@@ -196,28 +187,6 @@ def test_design_matrix_matches_evaluation():
     A = design_matrix(fixed_interface(tt, 2, B))
     direct = tt_evaluate_batch(tt, B)
     assert np.abs(A @ tt.components[2].ravel() - direct).max() <= 1e-12 * max(np.abs(direct).max(), 1)
-
-
-def test_tt_evaluate_trivia():
-    ones = TensorTrain(tuple(np.ones((1, 3, 1)) for _ in range(3)))
-    e1 = np.array([1.0, 0.0, 0.0])
-    assert tt_evaluate(ones, [e1, e1, e1]) == 1.0
-    rng = np.random.default_rng(14)
-    tt = tt_random((3, 3, 3), (2, 2), rng)
-    b = [rng.standard_normal(3) for _ in range(3)]
-    val = tt_evaluate(tt, b)
-    dense = tt_to_dense(tt)
-    ref = np.einsum("ijk,i,j,k->", dense, *b)
-    assert np.isclose(val, ref, rtol=1e-12, atol=1e-14)
-    scaled = tt.with_component(1, 3.5 * np.asarray(tt.components[1]))
-    assert np.isclose(tt_evaluate(scaled, b), 3.5 * val)
-
-
-def test_dimension_mismatch_raises():
-    rng = np.random.default_rng(15)
-    tt = tt_random((3, 3), (2,), rng)
-    with pytest.raises(TensorTrainError):
-        tt_evaluate(tt, [np.ones(4), np.ones(3)])
 
 
 def test_roundtrip_property_small_tensors():

@@ -382,6 +382,14 @@ def test_negative_seeds_raise_before_starting_processes(no_process_pool):
         RecoveryConfig(seed=-1)
 
 
+def test_jobs_above_the_cpu_count_start_no_processes(no_process_pool, monkeypatch):
+    # the pool never has more processes than CPUs, so on one CPU four jobs
+    # run every realization in this process
+    monkeypatch.setattr(uq_bench, "_cpu_count", lambda: 1)
+    kwargs = dict(realizations=3, dimension=4, n_test=50, max_rank=2, max_sweeps=3)
+    assert np.isfinite(phase_diagram([3], [30], jobs=4, **kwargs)[0, 0])
+
+
 def test_unknown_choices_raise_benchmark_error():
     with pytest.raises(BenchmarkError, match="unknown target 'nope'"):
         synthetic_target("nope", 2, 3)

@@ -5,10 +5,8 @@ from ttrec.bases import legendre_basis
 from ttrec.tensor_core import TensorTrain, canonicalize, tt_random
 from ttrec.variation import (VariationError, VariationGrid,
                              local_variation_rank1, microstep_variation,
-                             optimal_weight, sample_optimal_weights,
                              uniform_grid, variation_of_span,
-                             variation_product, variation_sum,
-                             variation_union)
+                             variation_product, variation_sum)
 
 from oracles import monte_carlo_local_variation, random_direction_sup
 
@@ -76,13 +74,6 @@ def test_sum_rule_matches_direct_span():
     assert np.abs(summed.values - direct.values).max() <= 1e-10 * direct.values.max()
 
 
-def test_union_idempotent_and_monotone():
-    vg = legendre_span_grid(3, 101)
-    assert np.array_equal(variation_union(vg, vg).values, vg.values)
-    small = legendre_span_grid(2, 101)
-    assert np.all(small.values <= vg.values + 1e-14)
-
-
 def test_grid_mismatch_rejected():
     a = legendre_span_grid(2, 101)
     b = legendre_span_grid(2, 102)
@@ -95,45 +86,6 @@ def test_integral_of_variation_equals_dimension():
         vg = legendre_span_grid(d)
         assert abs(vg.l1_norm() - d) <= 1e-4
         assert vg.sup() >= d - 1e-12  # sup of an orthonormal span >= its dimension
-
-
-def test_optimal_weight_constant_case():
-    pts, q = uniform_grid(101)
-    vg = VariationGrid(pts, np.full(101, 2.7), quad_weights=q)
-    assert np.allclose(optimal_weight(vg), 1.0)
-
-
-def test_optimal_weight_attains_lower_bound():
-    vg = legendre_span_grid(3)
-    w = optimal_weight(vg)
-    weighted = VariationGrid(vg.points, vg.values, weights=w, quad_weights=vg.quad_weights)
-    # equality case of the optimal-sampling bound
-    assert abs(weighted.weighted_sup() - vg.l1_norm()) <= 1e-10
-    # with the uniform weight the bound is an inequality
-    assert vg.weighted_sup() >= vg.l1_norm() - 1e-12
-    # quadrature of 1/w against rho is approximately 1
-    assert abs(vg.quad_weights @ (1.0 / w) - 1.0) <= 1e-4
-
-
-def test_optimal_weight_rejects_zeros():
-    pts, q = uniform_grid(11)
-    vals = np.ones(11)
-    vals[3] = 0.0
-    with pytest.raises(VariationError):
-        optimal_weight(VariationGrid(pts, vals, quad_weights=q))
-
-
-def test_optimal_weight_sampling():
-    from ttrec.bases import hermite_basis, legendre_basis
-    basis = legendre_basis(4)
-    pts, w = sample_optimal_weights(basis, 2, 20000, seed=0)
-    assert pts.shape == (20000, 2) and np.all(np.abs(pts) <= 1.0)
-    assert np.all(w > 0)
-    # weighted Monte Carlo reproduces rho-integrals
-    assert abs(np.mean(w) - 1.0) <= 0.02
-    assert abs(np.mean(w * pts[:, 0] ** 2) - 1.0 / 3.0) <= 0.02
-    with pytest.raises(VariationError):
-        sample_optimal_weights(hermite_basis(3), 2, 10)
 
 
 # ---------------------------------------------------------------------------
