@@ -1,6 +1,6 @@
 """Alternating least-squares recovery of tensor-train coefficients.
 
-Four microstep flavors share one sweep engine:
+Four microstep flavors share one sweep engine, and ``_plan`` states each once:
 
 * ``als``     -- plain least squares,
 * ``als_l2``  -- ridge with cross-validated penalty,
@@ -276,22 +276,21 @@ def microstep_l2(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
     return cv.fit, cv.chosen
 
 
-def local_gramian(tt: TensorTrain, m: int, gramians) -> np.ndarray:
-    """Gramian of the local model space, ``H = Vhat_m^T (g1 (x) ... (x) gM) Vhat_m``.
+def local_gramian(tt: TensorTrain, m: int, g) -> np.ndarray:
+    """Gramian of the local model space, ``H = Vhat_m^T (g (x) ... (x) g) Vhat_m``.
 
-    Assembled by sweeping the univariate Gramians through the orthogonalized
-    interface chains; each push is rescaled with the log-scale tracked to
-    dodge floating-point under- and overflow.
+    Assembled by sweeping ``g``, the univariate Gramian of every mode,
+    through the orthogonalized interface chains; each push is rescaled with
+    the log-scale tracked to dodge floating-point under- and overflow.
     """
     if not tt.is_canonical_at(m):
         raise RecoveryError(f"train is not canonical at mode {m}")
-    if len(gramians) != tt.order:
-        raise RecoveryError("need one univariate gramian per mode")
+    g = np.asarray(g, float)
     log_scale = 0.0
     Lg = np.ones((1, 1))
     for k in range(m):
         C = tt.components[k]
-        Lg = np.einsum("lk,ler,ef,kfs->rs", Lg, C, np.asarray(gramians[k], float), C)
+        Lg = np.einsum("lk,ler,ef,kfs->rs", Lg, C, g, C)
         mx = float(np.abs(Lg).max())
         if mx == 0.0:
             raise RecoveryError("left interface Gramian vanished")
@@ -300,7 +299,7 @@ def local_gramian(tt: TensorTrain, m: int, gramians) -> np.ndarray:
     Rg = np.ones((1, 1))
     for k in range(tt.order - 1, m, -1):
         C = tt.components[k]
-        Rg = np.einsum("ler,ef,kfs,rs->lk", C, np.asarray(gramians[k], float), C, Rg)
+        Rg = np.einsum("ler,ef,kfs,rs->lk", C, g, C, Rg)
         mx = float(np.abs(Rg).max())
         if mx == 0.0:
             raise RecoveryError("right interface Gramian vanished")
@@ -309,7 +308,7 @@ def local_gramian(tt: TensorTrain, m: int, gramians) -> np.ndarray:
     factor = np.exp(log_scale)
     if not np.isfinite(factor):
         raise RecoveryError(f"local Gramian scale overflows (log-scale {log_scale:.1f})")
-    H = np.kron(Lg, np.kron(np.asarray(gramians[m], float), Rg)) * factor
+    H = np.kron(Lg, np.kron(g, Rg)) * factor
     return 0.5 * (H + H.T)
 
 
@@ -406,12 +405,27 @@ def rank_adapt(tt: TensorTrain, m: int, theta: float, buffer: int,
 # full recovery loop
 
 
-def _select_gramian(basis: UnivariateBasis, name: str):
+def _plan(config: RecoveryConfig, basis: UnivariateBasis):
+    """``(work_basis, T, microstep)``: the basis the sweeps work in, ``T``
+    with coefficients ``c`` in it being ``T c`` in ``basis`` (None for all but
+    ``r2als``), and the microstep ``(A, u, tt, m) -> (v, lam)`` of mode ``m``.
+    It looks ``microstep_*`` and ``local_gramian`` up as module attributes
+    at each call, so replacing them (the benchmark's tracer) reaches it."""
+    cv = (config.cv_folds, config.seed, config.lambda_grid_decades,
+          config.lambda_grid_points)
+    if config.algorithm == "als":
+        return basis, None, lambda A, u, tt, m: microstep_ls(A, u)
+    if config.algorithm == "als_l2":
+        return basis, None, lambda A, u, tt, m: microstep_l2(A, u, *cv)
     # infinite sup-norms (Gaussian measure): diag_sup falls back to the
     # Sobolev-style Gramian
-    if name == "h1" or basis.sup_norms is None:
-        return h1_gramian(basis)
-    return diag_sup_gramian(basis)
+    g = (h1_gramian if config.gramian == "h1" or basis.sup_norms is None
+         else diag_sup_gramian)(basis)
+    if config.algorithm == "rals":
+        return basis, None, lambda A, u, tt, m: microstep_rals(
+            A, u, local_gramian(tt, m, g.matrix), *cv)
+    work_basis, T = gramian_orthonormalize(basis, g)
+    return work_basis, T, lambda A, u, tt, m: microstep_r2als(A, u, *cv)
 
 
 def _initial_tt(dims, ranks, rng, scale: float) -> TensorTrain:
@@ -465,14 +479,7 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     M = samples.order
     rng = np.random.default_rng(config.seed)
 
-    work_basis, T, gramians = basis, None, None
-    if config.algorithm == "r2als":
-        # coefficients c in work_basis are T c in basis
-        work_basis, T = gramian_orthonormalize(basis, _select_gramian(basis, config.gramian))
-    elif config.algorithm == "rals":
-        g = _select_gramian(basis, config.gramian)
-        gramians = [g.matrix] * M
-
+    work_basis, T, microstep = _plan(config, basis)
     train_idx, val_idx = _split_samples(samples, config.validation_fraction, config.seed)
     if len(train_idx) == 0:
         raise RecoveryError("the sample split leaves no training samples")
@@ -499,8 +506,6 @@ def recover(samples: SampleSet, config: RecoveryConfig,
 
     report = RecoveryReport(tt=tt, basis=basis, train_errors=[], val_errors=[],
                             rank_history=[], lambdas=[], best_sweep=-1)
-    cv = (config.cv_folds, config.seed, config.lambda_grid_decades,
-          config.lambda_grid_points)
     best_err = np.inf
     marker_err = np.inf
     stall = 0
@@ -517,14 +522,7 @@ def recover(samples: SampleSet, config: RecoveryConfig,
                 A = design_matrix(stacks, w_train)
                 if len(train_idx) < A.shape[1]:
                     report.underdetermined.append((sweep, m))
-                if config.algorithm == "als":
-                    v, lam = microstep_ls(A, u)
-                elif config.algorithm == "als_l2":
-                    v, lam = microstep_l2(A, u, *cv)
-                elif config.algorithm == "rals":
-                    v, lam = microstep_rals(A, u, local_gramian(tt, m, gramians), *cv)
-                else:
-                    v, lam = microstep_r2als(A, u, *cv)
+                v, lam = microstep(A, u, tt, m)
                 lam_sweep.append(lam)
                 shape = (tt.components[m].shape[0], d, tt.components[m].shape[2])
                 tt = tt.with_component(m, v.reshape(shape))

@@ -249,18 +249,17 @@ def kkt_residual(problem: LassoProblem, v: np.ndarray) -> float:
     return _kkt_from_gram(Gx, b, problem.lam * problem.omega / 2.0, v)
 
 
-def _certified(problem: LassoProblem, x: np.ndarray) -> np.ndarray:
-    """``x``, the path's solution of ``problem``, checked by the KKT
-    conditions: warns with the residual if they are not met.  At ``lam = 0``
-    the least-squares solution instead."""
-    if problem.lam == 0.0:
-        return np.linalg.lstsq(problem.A, problem.y, rcond=None)[0]
+def _certified(A, y, G, b, h, lam: float, x: np.ndarray) -> np.ndarray:
+    """``x``, the path's solution at ``lam`` (``G``, ``b`` are ``(A, y)``'s Grams,
+    ``h = omega / 2``), checked by the KKT conditions: warns with the residual
+    if they are not met.  At ``lam = 0`` the least-squares solution instead."""
+    if lam == 0.0:
+        return np.linalg.lstsq(A, y, rcond=None)[0]
     # absolute 1e-8 on unit-scale data, relative guard for large magnitudes
-    b = problem.A.T @ problem.y
     tol = max(KKT_TOL, 1e-12 * 2.0 * float(np.abs(b).max(initial=0.0)))
-    res = kkt_residual(problem, x)
+    res = _kkt_from_gram(G @ x, b, lam * h, x)
     if res > tol:
-        warnings.warn(f"LASSO path at lambda {problem.lam:.3e}: KKT residual {res:.3e} "
+        warnings.warn(f"LASSO path at lambda {lam:.3e}: KKT residual {res:.3e} "
                       f"above {tol:.1e}", ConvergenceWarning)
     return x
 
@@ -272,14 +271,13 @@ def lasso_solve(problem: LassoProblem) -> np.ndarray:
     Certified by the KKT conditions; warns with the residual if they are
     not met.  ``lam = 0`` falls back to least squares.
     """
-    x = np.zeros(problem.A.shape[1])
-    if problem.lam > 0.0:
-        G = problem.A.T @ problem.A
-        b = problem.A.T @ problem.y
-        for _, k, S, q, w, _, _ in _homotopy(G[None], b[None], problem.omega / 2.0,
-                                             np.array([problem.lam])):
-            x[S[0, :k[0]]] = w[0, :k[0]] - problem.lam * q[0, :k[0]]
-    return _certified(problem, x)
+    A, y, lam, h = problem.A, problem.y, problem.lam, problem.omega / 2.0
+    G, b = A.T @ A, A.T @ y
+    x = np.zeros(A.shape[1])
+    if lam > 0.0:
+        for _, k, S, q, w, _, _ in _homotopy(G[None], b[None], h, np.array([lam])):
+            x[S[0, :k[0]]] = w[0, :k[0]] - lam * q[0, :k[0]]
+    return _certified(A, y, G, b, h, lam, x)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +436,12 @@ def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
+    if omega.shape != A.shape[1:] or not np.all(omega > 0.0):
+        raise SparseSolverError("coordinate weights must be positive, one per column")
 
     def lasso_fits(G, b, lams, A, y, holds):
         errors, X = _solve_path(G, b, omega / 2.0, lams, A, y, holds)
-        return errors, lambda k: _certified(LassoProblem(A, y, omega, lams[k]), X[k])
+        return errors, lambda k: _certified(A, y, G[-1], b[-1], omega / 2.0, lams[k], X[k])
 
     return cross_validate(A, y, lambda_grid(A, y, omega, decades, points), folds, seed,
                           lasso_fits)

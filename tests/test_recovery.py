@@ -223,7 +223,7 @@ def test_cv_ties_go_to_largest_lambda_in_both_cvs():
 def test_local_gramian_identity_metric():
     rng = np.random.default_rng(6)
     tt = canonicalize(tt_random((4, 4, 4), (2, 2), rng), 1)
-    H = local_gramian(tt, 1, [np.eye(4)] * 3)
+    H = local_gramian(tt, 1, np.eye(4))
     assert np.abs(H - np.eye(H.shape[0])).max() <= 1e-12
 
 
@@ -231,7 +231,7 @@ def test_local_gramian_two_mode_diagonal():
     rng = np.random.default_rng(7)
     tt = canonicalize(tt_random((3, 3), (1,), rng), 0)
     g = np.diag([1.0, 2.0, 5.0])
-    H = local_gramian(tt, 0, [g, g])
+    H = local_gramian(tt, 0, g)
     w = tt.components[1][:, :, 0][0]    # right interface vector, unit norm
     expect = np.kron(g, np.array([[w @ g @ w]]))
     assert np.abs(H - expect).max() <= 1e-12
@@ -242,7 +242,7 @@ def test_local_gramian_symmetric():
     rng = np.random.default_rng(8)
     tt = canonicalize(tt_random((4, 4, 4, 4), (3, 2, 3), rng), 2)
     g = np.diag([1.0, 3.0, 5.0, 7.0])
-    H = local_gramian(tt, 2, [g] * 4)
+    H = local_gramian(tt, 2, g)
     assert np.array_equal(H, H.T)
     assert np.min(np.linalg.eigvalsh(H)) >= -1e-10
 
@@ -309,7 +309,7 @@ def test_microstep_rals_rotation_invariance():
     u = rng.standard_normal(60)
     g = diag_sup_gramian(basis).matrix
     A = design_matrix(fixed_interface(tt, m, B))
-    H = local_gramian(tt, m, [g] * M)
+    H = local_gramian(tt, m, g)
     v, _ = microstep_rals(A, u, H, folds=5, seed=0)
     vals = A @ v
     # orthogonal gauge on both interfaces
@@ -321,7 +321,7 @@ def test_microstep_rals_rotation_invariance():
     comps[m + 1] = np.tensordot(QR.T, comps[m + 1], axes=(1, 0))
     tt2 = TensorTrain(tuple(comps), lorth=m, rorth=m + 1)
     A2 = design_matrix(fixed_interface(tt2, m, B))
-    H2 = local_gramian(tt2, m, [g] * M)
+    H2 = local_gramian(tt2, m, g)
     v2, _ = microstep_rals(A2, u, H2, folds=5, seed=0)
     assert np.abs(A2 @ v2 - vals).max() <= 1e-8 * max(1.0, np.abs(vals).max())
 
@@ -491,6 +491,41 @@ def test_underdetermined_run_flags_and_returns():
     assert report.underdetermined
     assert report.best_sweep >= 0
     assert report.tt is not None
+
+
+@pytest.mark.parametrize("algorithm,microstep", [
+    ("als", "microstep_ls"), ("als_l2", "microstep_l2"),
+    ("rals", "microstep_rals"), ("r2als", "microstep_r2als"),
+])
+def test_sweeps_call_the_module_attributes(algorithm, microstep, monkeypatch):
+    # a sweep looks its microstep (and rals its local Gramian) up by module
+    # attribute at every call: a replaced attribute sees every microstep
+    import ttrec.recovery as recovery
+    calls = dict.fromkeys(["microstep_ls", "microstep_l2", "microstep_rals",
+                           "microstep_r2als", "local_gramian"], 0)
+
+    def counting(name):
+        fn = getattr(recovery, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(recovery, name, counting(name))
+    M = 4
+    rng = np.random.default_rng(34)
+    pts = rng.uniform(-1, 1, (60, M))
+    samples = SampleSet(pts, np.exp(pts.sum(axis=1) / 4.0))
+    cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=1, cv_folds=5, seed=0)
+    report = recover(samples, cfg, legendre_basis(4))
+    assert report.aborted is None and len(report.lambdas) == 1
+    expect = dict.fromkeys(calls, 0)
+    expect[microstep] = M
+    if algorithm == "rals":
+        expect["local_gramian"] = M
+    assert calls == expect
 
 
 def test_hermite_diag_sup_falls_back_to_h1():
@@ -789,7 +824,7 @@ def test_local_gramian_matches_dense_oracle():
     tt = canonicalize(tt_random((d,) * M, (2, 2), rng), m)
     X = rng.standard_normal((d, d))
     g = X @ X.T + d * np.eye(d)
-    H = local_gramian(tt, m, [g] * M)
+    H = local_gramian(tt, m, g)
     # dense oracle: embed every unit component and contract with kron(g,g,g)
     from ttrec.tensor_core import tt_to_dense
     D = int(np.prod(tt.components[m].shape))

@@ -213,6 +213,16 @@ def test_cv_requires_enough_samples():
         cv_select_lambda(np.ones((5, 2)), np.ones(5), np.ones(2), folds=10)
 
 
+def test_cv_select_lambda_rejects_bad_coordinate_weights():
+    # checked before the grid, which divides by the smallest weight
+    rng = np.random.default_rng(36)
+    A, y = rng.standard_normal((30, 4)), rng.standard_normal(30)
+    for omega in ([1.0, 0.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0],
+                  [1.0, 1.0, 1.0]):
+        with pytest.raises(SparseSolverError, match="coordinate weights must be positive"):
+            cv_select_lambda(A, y, np.array(omega), folds=5)
+
+
 def test_cv_fold_determinism():
     a = fold_indices(30, 10, 42)
     b = fold_indices(30, 10, 42)

@@ -274,9 +274,11 @@ def test_generate_samples_gives_each_process_at_least_64_samples(monkeypatch):
     assert chunks == [[4], [127], [64, 64], [67, 67, 66]]
 
 
-def test_map_processes_keeps_task_order():
+def test_map_processes_keeps_task_order(monkeypatch):
     # more tasks than processes: the pool takes them from the front and this
-    # process, after its own, from the back
+    # process, after its own, from the back; three CPUs let three workers
+    # run a pool of two on any host
+    monkeypatch.setattr(uq_bench, "_cpu_count", lambda: 3)
     tasks = [(i, 2) for i in range(40)]
     for workers in (1, 2, 3):
         assert _map_processes(pow, tasks, workers) == [i * i for i in range(40)]
