@@ -33,6 +33,8 @@ class Gramian:
         g = np.asarray(self.matrix, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise BasisError("gramian must be square")
+        if not np.isfinite(g).all():
+            raise BasisError(f"gramian has non-finite entries ({self.description})")
         if not np.allclose(g, g.T, atol=1e-12 * max(1.0, np.abs(g).max())):
             raise BasisError("gramian is not symmetric")
         g = 0.5 * (g + g.T)
@@ -88,7 +90,7 @@ class UnivariateBasis:
             scale = np.sqrt(2 * np.arange(d) + 1)
         else:
             V = npherm.hermevander(points, d - 1)
-            scale = 1.0 / np.sqrt([math.factorial(k) for k in range(d)])
+            scale = 1.0 / np.sqrt([float(math.factorial(k)) for k in range(d)])
         return V * scale
 
     def _ref_derivatives(self, points: np.ndarray) -> np.ndarray:
@@ -145,6 +147,8 @@ def hermite_basis(d: int) -> UnivariateBasis:
     normal; sup-norms are infinite."""
     if d < 1:
         raise BasisError("dimension must be >= 1")
+    if d > 171:     # the norms sqrt(k!) need float(k!), which overflows from 171!
+        raise BasisError("hermite dimension must be <= 171")
     return UnivariateBasis("hermite", d, np.eye(d), None)
 
 
@@ -171,14 +175,12 @@ def diag_sup_gramian(basis: UnivariateBasis) -> Gramian:
     return Gramian(np.diag(basis.sup_norms**2), "diag_sup")
 
 
-def h1_gramian(basis: UnivariateBasis, quad_nodes: int | None = None) -> Gramian:
-    """Sobolev-style Gramian ``g_ij = int (b_i b_j + b_i' b_j') drho``."""
-    x, w = basis.quadrature(quad_nodes or 4 * basis.dimension)
+def h1_gramian(basis: UnivariateBasis) -> Gramian:
+    """Sobolev-style Gramian ``g_ij = int (b_i b_j + b_i' b_j') drho`` on 4 d Gauss nodes."""
+    x, w = basis.quadrature(4 * basis.dimension)
     B = basis.evaluate(x)
     dB = basis.evaluate_deriv(x)
-    g = B.T @ (w[:, None] * B) + dB.T @ (w[:, None] * dB)
-    g = 0.5 * (g + g.T)
-    return Gramian(g, "h1")
+    return Gramian(B.T @ (w[:, None] * B) + dB.T @ (w[:, None] * dB), "h1")
 
 
 def gramian_orthonormalize(basis: UnivariateBasis, g: Gramian):

@@ -22,10 +22,10 @@ import typing
 import numpy as np
 
 from . import __version__, tensor_core
-from .bases import BASES
+from .bases import BASES, BasisError
 from .recovery import ALGORITHMS, RecoveryConfig, RecoveryError, SampleSet, recover
 from .tensor_core import atomic_open
-from .uq_bench import (DIFFUSION_MODELS, TARGETS, WEIGHT_RULES, BenchmarkError,
+from .uq_bench import (DIFFUSION_MODELS, N_PARAMS, TARGETS, WEIGHT_RULES, BenchmarkError,
                        DiffusionModel, generate_samples, phase_diagram,
                        spectrum_experiment)
 from .variation import VariationError, local_variation_rank1
@@ -94,12 +94,14 @@ def write_csv(path, header_lines, columns, rows) -> None:
 # minimal self-contained SVG renderers (no plotting dependency)
 
 
-def svg_lines(series, labels, path, width=640, height=420, logx=False, logy=False):
+def svg_lines(series, labels, path):
+    """Log-log line plot: one polyline per ``(xs, ys)`` of ``series``."""
+    width, height = 640, 420
+
     def tx(v, lo, hi, size, pad=50):
         return pad + (v - lo) / (hi - lo + 1e-300) * (size - 2 * pad)
 
-    pts = [(np.log10(x) if logx else x, np.log10(y) if logy else y)
-           for xs, ys in series for x, y in zip(xs, ys)]
+    pts = [(np.log10(x), np.log10(y)) for xs, ys in series for x, y in zip(xs, ys)]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)
@@ -110,8 +112,8 @@ def svg_lines(series, labels, path, width=640, height=420, logx=False, logy=Fals
     for i, (sx, sy) in enumerate(series):
         path_pts = []
         for x, y in zip(sx, sy):
-            px = tx(np.log10(x) if logx else x, x0, x1, width)
-            py = height - tx(np.log10(y) if logy else y, y0, y1, height)
+            px = tx(np.log10(x), x0, x1, width)
+            py = height - tx(np.log10(y), y0, y1, height)
             path_pts.append(f"{px:.1f},{py:.1f}")
         out.append(f'<polyline points="{" ".join(path_pts)}" fill="none" '
                    f'stroke="{colors[i % len(colors)]}" stroke-width="1.5"/>')
@@ -121,7 +123,8 @@ def svg_lines(series, labels, path, width=640, height=420, logx=False, logy=Fals
     atomic_write(path, "\n".join(out) + "\n")
 
 
-def svg_heatmap(matrix, row_labels, col_labels, path, cell=40):
+def svg_heatmap(matrix, row_labels, col_labels, path):
+    cell = 40
     m, n = matrix.shape
     width, height = 80 + n * cell, 60 + m * cell
     finite = matrix[np.isfinite(matrix)]
@@ -319,7 +322,7 @@ def cmd_variation(args) -> int:
             ys = [k for dd, _, k in rows if dd == d]
             series.append((xs, ys))
             labels.append(f"d={d}")
-        svg_lines(series, labels, args.svg, logx=True, logy=True)
+        svg_lines(series, labels, args.svg)
     print(f"variation: wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -346,7 +349,7 @@ def cmd_darcy_gen(args) -> int:
     model = DiffusionModel(args.model)
     samples = generate_samples(model, args.n, seed=args.seed, grid=args.grid)
     header = manifest_lines("darcy-gen", args, [], [args.out])
-    cols = [f"y_{i + 1}" for i in range(model.n_params)] + ["u"]
+    cols = [f"y_{i + 1}" for i in range(N_PARAMS)] + ["u"]
     rows = [tuple(samples.points[i]) + (samples.values[i],) for i in range(samples.size)]
     write_csv(args.out, header, cols, rows)
     print(f"darcy-gen: wrote {samples.size} samples to {args.out}")
@@ -436,7 +439,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, RecoveryError, BenchmarkError, VariationError) as exc:
+    except (CliError, RecoveryError, BenchmarkError, VariationError, BasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

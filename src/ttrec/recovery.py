@@ -271,7 +271,7 @@ def microstep_l2(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
     A = np.asarray(A, float)
     u = np.asarray(u, float)
     # unpenalized fit appended so noiseless in-class data can win exactly
-    lams = np.append(lambda_grid(A, u, np.ones(A.shape[1]), decades, points), 0.0)
+    lams = np.append(lambda_grid(A, u, decades, points), 0.0)
     cv = cross_validate(A, u, lams, folds, seed, _ridge_fold_errors)
     return cv.fit, cv.chosen
 
@@ -317,8 +317,7 @@ def _cv_lasso(A: np.ndarray, u: np.ndarray, folds: int, seed: int,
     """The LASSO microstep body: one stacked homotopy pass gives the
     cross-validated lambda and the full-data LASSO fit at it, refitted by
     least squares on its support.  Returns ``(v, lam)``."""
-    cv = cv_select_lambda(A, u, np.ones(A.shape[1]), folds=folds, seed=seed,
-                          decades=decades, points=points)
+    cv = cv_select_lambda(A, u, folds=folds, seed=seed, decades=decades, points=points)
     return debias_on_support(A, u, cv.fit), cv.chosen
 
 

@@ -1,18 +1,20 @@
-"""Weighted LASSO by its exact homotopy path, with cross-validated lambda.
+"""LASSO by its exact homotopy path, with cross-validated lambda.
 
-The objective is ``||y - A v||_2^2 + lam * ||omega (*) v||_1`` (no 1/n
-factor).  On the Gram ``G = A^T A``, ``b = A^T y`` it reads ``x^T G x -
-2 b^T x + 2 lam sum_k h_k |x_k|`` with ``h = omega / 2``, and its minimizer
-is piecewise linear in ``lam``.  The homotopy (LARS-lasso) method of
-Osborne, Presnell & Turlach (2000) and Efron, Hastie, Johnstone &
-Tibshirani (2004) follows it from ``lam_max`` down, one active-set solve per
-breakpoint, so every path gets exact solutions and exact supports at its
-lambdas.  Cross-validation runs the folds' paths and the full-data path as
-one stack: one pass scores the folds and gives the fit at the chosen
-lambda.  ``lasso_solve`` is the same path on a stack of one.  Optimality is
-certified by the KKT conditions: for active coordinates ``|2 A_k^T (A v -
-y) + lam * omega_k * sign(v_k)| <= tol`` and for inactive ones ``|2 A_k^T
-(A v - y)| <= lam * omega_k + tol``.
+The path solves the unit-weight LASSO ``||y - A v||_2^2 + lam * ||v||_1``
+(no 1/n factor).  On the Gram ``G = A^T A``, ``b = A^T y`` it reads ``x^T G
+x - 2 b^T x + lam sum_k |x_k|``, and its minimizer is piecewise linear in
+``lam``.  The homotopy (LARS-lasso) method of Osborne, Presnell & Turlach
+(2000) and Efron, Hastie, Johnstone & Tibshirani (2004) follows it from
+``lam_max`` down, one active-set solve per breakpoint, so every path gets
+exact solutions and exact supports at its lambdas.  Cross-validation runs
+the folds' paths and the full-data path as one stack: one pass scores the
+folds and gives the fit at the chosen lambda.  ``lasso_solve`` is the same
+path on a stack of one.  Weights ``lam * ||omega (*) v||_1`` are a change of
+variables (Zou 2006): ``lasso_solve`` and the ``rals`` microstep solve on
+the rescaled columns ``A / omega`` and map back by ``v = x / omega``.  The
+KKT conditions certify optimality: ``|2 A_k^T (A v - y) + lam * omega_k *
+sign(v_k)| <= tol`` where ``v_k != 0``, else ``|2 A_k^T (A v - y)| <= lam *
+omega_k + tol``.
 """
 from __future__ import annotations
 
@@ -54,8 +56,8 @@ class LassoProblem:
             raise SparseSolverError("problem data contains NaN or Inf")
         if np.any(w <= 0):
             raise SparseSolverError("coordinate weights must be positive")
-        if self.lam < 0:
-            raise SparseSolverError("lambda must be nonnegative")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise SparseSolverError("lambda must be finite and nonnegative")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "omega", w)
@@ -76,8 +78,8 @@ def _kkt_from_gram(Gx, b, thresholds, x) -> float:
     return float(viol.max())
 
 
-def _homotopy(G, b, h, lams):
-    """Exact paths of ``x^T G_f x - 2 b_f^T x + 2 lam sum_k h_k |x_k|`` over ``lams``.
+def _homotopy(G, b, lams):
+    """Exact paths of ``x^T G_f x - 2 b_f^T x + lam sum_k |x_k|`` over ``lams``.
 
     ``G`` is (F, p, p), ``b`` (F, p) and ``lams`` descending.  Yields one
     batch per step, ``(f, k, S, q, w, lo, hi)``: row ``i`` is a segment of
@@ -86,11 +88,11 @@ def _homotopy(G, b, h, lams):
     coordinates ``S[i]`` and zero elsewhere.  Only the first ``k[i]``
     entries of ``S[i]``, ``q[i]`` and ``w[i]`` belong to the support, in
     the order its coordinates joined; ``q`` and ``w`` are zero past them.
-    On a segment with signs ``s``, ``G_SS [q, w] = [h_S * s, b_S]``, so
+    On a segment with signs ``s``, ``G_SS [q, w] = [s / 2, b_S]``, so
     ``q`` is the path direction and ``w`` the least-squares refit on ``S``.
     Between grid points a path moves from breakpoint to breakpoint: a
     coordinate joins where its correlation ``c = b - G x`` reaches ``+-lam
-    * h``, and leaves where its value crosses zero.  The F paths advance
+    / 2``, and leaves where its value crosses zero.  The F paths advance
     one breakpoint each per iteration, so the array operations of a step
     are shared; a shorter support is padded with identity rows.  A support
     is kept per coordinate, as its sign and the step it joined at, and each
@@ -109,7 +111,7 @@ def _homotopy(G, b, h, lams):
     F, p = b.shape
     n_grid = len(lams)
     problems = np.arange(F)
-    ratio = np.abs(b) / h
+    ratio = np.abs(b) / 0.5               # the lam at which each would join x = 0
     first = ratio.argmax(1)
     lam = ratio[problems, first]          # x = 0 from here up
     lo = np.count_nonzero(lams >= lam[:, None], axis=1)
@@ -144,13 +146,13 @@ def _homotopy(G, b, h, lams):
         GSS = G[fl[:, None, None], Sa[:, :, None], Sa[:, None, :]]
         rhs = np.empty((fl.size, k_max, 2))
         rhs[:, :, 0] = b[fl[:, None], Sa]
-        np.multiply(h[Sa], s, out=rhs[:, :, 1])
+        np.multiply(0.5, s, out=rhs[:, :, 1])
         if padded:
             GSS[pad[:, None, :] | pad[:, :, None]] = 0.0
             m, k = np.nonzero(pad)
             GSS[m, k, k] = 1.0
             rhs[pad] = 0.0
-        # G_SS [w, q] = [b_S, h_S * s]
+        # G_SS [w, q] = [b_S, s / 2]
         wq = _solve(GSS, rhs)
         if padded:
             wq[pad] = 0.0
@@ -162,12 +164,12 @@ def _homotopy(G, b, h, lams):
         Gxq = np.matmul(G, xq)[fl]        # all F: no copy of the Grams
         c = b[fl] - Gxq[:, :, 0]
         a = Gxq[:, :, 1]                  # rate of change of c as lam falls
-        # join: c - gamma*a meets +-(lam - gamma)*h
+        # join: c - gamma*a meets +-(lam - gamma)/2
         lam_f = lam[fl]
-        up, down = h - a, h + a
-        g_up = np.divide(np.maximum(lam_f[:, None] * h - c, 0.0), up,
+        up, down = 0.5 - a, 0.5 + a
+        g_up = np.divide(np.maximum(lam_f[:, None] * 0.5 - c, 0.0), up,
                          out=np.full(up.shape, np.inf), where=up > 0)
-        g_down = np.divide(np.maximum(lam_f[:, None] * h + c, 0.0), down,
+        g_down = np.divide(np.maximum(lam_f[:, None] * 0.5 + c, 0.0), down,
                            out=np.full(up.shape, np.inf), where=down > 0)
         g_join = np.minimum(g_up, g_down)
         g_join[member] = np.inf
@@ -249,15 +251,15 @@ def kkt_residual(problem: LassoProblem, v: np.ndarray) -> float:
     return _kkt_from_gram(Gx, b, problem.lam * problem.omega / 2.0, v)
 
 
-def _certified(A, y, G, b, h, lam: float, x: np.ndarray) -> np.ndarray:
-    """``x``, the path's solution at ``lam`` (``G``, ``b`` are ``(A, y)``'s Grams,
-    ``h = omega / 2``), checked by the KKT conditions: warns with the residual
-    if they are not met.  At ``lam = 0`` the least-squares solution instead."""
+def _certified(A, y, G, b, lam: float, x: np.ndarray) -> np.ndarray:
+    """``x``, the path's solution at ``lam`` (``G``, ``b`` are ``(A, y)``'s
+    Grams), checked by the KKT conditions: warns with the residual if they
+    are not met.  At ``lam = 0`` the least-squares solution instead."""
     if lam == 0.0:
         return np.linalg.lstsq(A, y, rcond=None)[0]
     # absolute 1e-8 on unit-scale data, relative guard for large magnitudes
     tol = max(KKT_TOL, 1e-12 * 2.0 * float(np.abs(b).max(initial=0.0)))
-    res = _kkt_from_gram(G @ x, b, lam * h, x)
+    res = _kkt_from_gram(G @ x, b, lam / 2.0, x)
     if res > tol:
         warnings.warn(f"LASSO path at lambda {lam:.3e}: KKT residual {res:.3e} "
                       f"above {tol:.1e}", ConvergenceWarning)
@@ -265,19 +267,20 @@ def _certified(A, y, G, b, h, lam: float, x: np.ndarray) -> np.ndarray:
 
 
 def lasso_solve(problem: LassoProblem) -> np.ndarray:
-    """Minimizer of the weighted LASSO objective: the homotopy path from
-    ``lam_max`` stopped at ``problem.lam``, a stack of one.
-
-    Certified by the KKT conditions; warns with the residual if they are
-    not met.  ``lam = 0`` falls back to least squares.
-    """
-    A, y, lam, h = problem.A, problem.y, problem.lam, problem.omega / 2.0
+    """Minimizer of the weighted LASSO objective: the homotopy path on the
+    rescaled columns ``A / omega`` from ``lam_max`` stopped at ``problem.lam``,
+    a stack of one, mapped back by ``1 / omega``.  Certified by the KKT
+    conditions of the rescaled problem; warns with the residual if they are
+    not met.  ``lam = 0`` falls back to least squares on ``A``."""
+    A, y, lam, omega = problem.A, problem.y, problem.lam, problem.omega
+    if lam == 0.0:
+        return np.linalg.lstsq(A, y, rcond=None)[0]
+    A = A / omega
     G, b = A.T @ A, A.T @ y
     x = np.zeros(A.shape[1])
-    if lam > 0.0:
-        for _, k, S, q, w, _, _ in _homotopy(G[None], b[None], h, np.array([lam])):
-            x[S[0, :k[0]]] = w[0, :k[0]] - lam * q[0, :k[0]]
-    return _certified(A, y, G, b, h, lam, x)
+    for _, k, S, q, w, _, _ in _homotopy(G[None], b[None], np.array([lam])):
+        x[S[0, :k[0]]] = w[0, :k[0]] - lam * q[0, :k[0]]
+    return _certified(A, y, G, b, lam, x) / omega
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +295,6 @@ class CvReport:
     lambdas: np.ndarray       # grid, descending
     mean_errors: np.ndarray   # mean held-out squared error per lambda
     chosen: float
-    seed: int
     fit: np.ndarray = None    # (p,) fit on all rows at ``chosen``
 
     def __post_init__(self):
@@ -320,9 +322,9 @@ def fold_indices(n: int, folds: int, seed: int):
     return tuple(np.array_split(perm, folds))
 
 
-def lambda_grid(A, y, omega, decades: float = 4.0, points: int = 25) -> np.ndarray:
+def lambda_grid(A, y, decades: float = 4.0, points: int = 25) -> np.ndarray:
     """Logarithmic grid from the full-shrinkage threshold downward."""
-    lam_max = 2.0 * float(np.abs(A.T @ y).max(initial=0.0)) / float(np.min(omega))
+    lam_max = 2.0 * float(np.abs(A.T @ y).max(initial=0.0))
     if lam_max == 0.0:
         return np.zeros(1)
     return np.geomspace(lam_max, lam_max * 10.0 ** (-decades), points)
@@ -348,7 +350,7 @@ def _held_out_errors(A, y, rows, n_rows, S, w) -> np.ndarray:
     return np.einsum("ij,ij->i", r, r) / n_rows
 
 
-def _solve_path(G, b, h, lams, A, y, holds):
+def _solve_path(G, b, lams, A, y, holds):
     """Held-out errors (L, F) of the F folds and the full-data path (L, p).
 
     Runs the exact paths on the stacked Grams ``(G, b)``, the folds' and
@@ -367,7 +369,7 @@ def _solve_path(G, b, h, lams, A, y, holds):
     grid = np.arange(len(lams))
     errors = np.empty((len(lams), F))
     X = np.zeros((len(lams), A.shape[1]))
-    for f, k, S, q, w, lo, hi in _homotopy(G, b, h, lams):
+    for f, k, S, q, w, lo, hi in _homotopy(G, b, lams):
         fold = f < F
         if not fold.all():      # the full-data segment, at most one per step
             i = np.flatnonzero(~fold)[0]
@@ -413,10 +415,10 @@ def cross_validate(A, y, lams, folds: int, seed: int, fold_errors) -> CvReport:
     errors, fit = fold_errors(G, b, lams, A, y, holds)
     mean_errors = errors.mean(axis=1)
     k = int(np.argmax(mean_errors <= mean_errors.min()))  # first = largest
-    return CvReport(lams, mean_errors, float(lams[k]), seed, fit(k))
+    return CvReport(lams, mean_errors, float(lams[k]), fit(k))
 
 
-def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
+def cv_select_lambda(A, y, folds: int = 10, seed: int = 0,
                      decades: float = 4.0, points: int = 25) -> CvReport:
     """Pick the regularization strength by k-fold cross-validation and fit
     the LASSO at it on all rows.
@@ -435,13 +437,9 @@ def cv_select_lambda(A, y, omega, folds: int = 10, seed: int = 0,
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != A.shape[1:] or not np.all(omega > 0.0):
-        raise SparseSolverError("coordinate weights must be positive, one per column")
 
     def lasso_fits(G, b, lams, A, y, holds):
-        errors, X = _solve_path(G, b, omega / 2.0, lams, A, y, holds)
-        return errors, lambda k: _certified(A, y, G[-1], b[-1], omega / 2.0, lams[k], X[k])
+        errors, X = _solve_path(G, b, lams, A, y, holds)
+        return errors, lambda k: _certified(A, y, G[-1], b[-1], lams[k], X[k])
 
-    return cross_validate(A, y, lambda_grid(A, y, omega, decades, points), folds, seed,
-                          lasso_fits)
+    return cross_validate(A, y, lambda_grid(A, y, decades, points), folds, seed, lasso_fits)

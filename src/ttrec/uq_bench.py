@@ -44,6 +44,7 @@ class BenchmarkError(ValueError):
 DIFFUSION_MODELS = ("affine", "lognormal")
 TARGETS = ("ones", "exp_sum")            # phase-diagram targets
 WEIGHT_RULES = ("legendre", "ones")      # spectrum-experiment weights
+N_PARAMS = 20                            # parameters of every diffusion model
 
 
 def _check_choice(what: str, value, choices) -> None:
@@ -83,25 +84,22 @@ class DiffusionModel:
     """
 
     kind: str = "affine"       # one of DIFFUSION_MODELS
-    n_params: int = 20
 
     def __post_init__(self):
         _check_choice("diffusion model", self.kind, DIFFUSION_MODELS)
-        if self.n_params < 1:
-            raise BenchmarkError("n_params must be >= 1")
 
     @property
     def measure(self) -> str:
         return "uniform" if self.kind == "affine" else "gaussian"
 
     def frequencies(self):
-        m = np.arange(1, self.n_params + 1)
+        m = np.arange(1, N_PARAMS + 1)
         return np.pi * (m // 2), np.pi * ((m + 1) // 2)
 
     def _mode_fields(self, x1, x2):
         """Per-parameter spatial modes evaluated on a broadcastable grid."""
         w_hat, w_check = self.frequencies()
-        m = np.arange(1, self.n_params + 1)
+        m = np.arange(1, N_PARAMS + 1)
         modes = np.sin(np.multiply.outer(w_hat, x1)) * np.sin(np.multiply.outer(w_check, x2))
         if self.kind == "affine":
             decay = (6.0 / np.pi**2) * m.astype(float) ** -2
@@ -114,8 +112,8 @@ class DiffusionModel:
         """Coefficient from the stacked mode fields ``modes`` (parameter axis
         first) and the parameter vector ``y``."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.n_params,):
-            raise BenchmarkError(f"parameter vector must have length {self.n_params}")
+        if y.shape != (N_PARAMS,):
+            raise BenchmarkError(f"parameter vector must have length {N_PARAMS}")
         field = np.tensordot(y, modes, axes=(0, 0))
         if self.kind == "affine":
             return 1.0 + field
@@ -137,7 +135,7 @@ def _grid_nodes(n: int):
 
 @functools.lru_cache(maxsize=16)
 def _mode_stack(model: DiffusionModel, n: int) -> np.ndarray:
-    """Read-only (n_params, n+1, n+1) mode fields of ``model`` on the grid nodes."""
+    """Read-only (N_PARAMS, n+1, n+1) mode fields of ``model`` on the grid nodes."""
     modes = model._mode_fields(*_grid_nodes(n))
     modes.flags.writeable = False
     return modes
@@ -404,7 +402,7 @@ def _qois(model: DiffusionModel, pts: np.ndarray, grid: int) -> np.ndarray:
 def generate_samples(model: DiffusionModel, n_samples: int, seed: int = 0,
                      grid: int = 64) -> SampleSet:
     """Draw i.i.d. parameters from the model's measure (uniform on
-    [-1, 1]^n_params for the affine model, standard normal for the
+    [-1, 1]^N_PARAMS for the affine model, standard normal for the
     log-normal one) and solve for the quantity of interest; sampling
     weights are identically 1.
 
@@ -420,9 +418,9 @@ def generate_samples(model: DiffusionModel, n_samples: int, seed: int = 0,
     _check_grid(grid)
     rng = np.random.default_rng(seed)
     if model.measure == "uniform":
-        pts = rng.uniform(-1.0, 1.0, (n_samples, model.n_params))
+        pts = rng.uniform(-1.0, 1.0, (n_samples, N_PARAMS))
     else:
-        pts = rng.standard_normal((n_samples, model.n_params))
+        pts = rng.standard_normal((n_samples, N_PARAMS))
     workers = max(1, min(_cpu_count(), n_samples // _MIN_CHUNK))
     chunks = np.array_split(pts, workers)
     values = _map_processes(_qois, [(model, c, grid) for c in chunks], workers)

@@ -195,7 +195,7 @@ def reference_cv_errors(A, y, omega, folds=10, seed=0):
     A = np.asarray(A, float)
     y = np.asarray(y, float)
     omega = np.asarray(omega, float)
-    lams = lambda_grid(A, y, omega)
+    lams = lambda_grid(A / omega, y)
     idx = fold_indices(A.shape[0], folds, seed)
     masks = []
     for hold in idx:

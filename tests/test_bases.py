@@ -98,6 +98,17 @@ def test_gramian_rejects_bad_matrices():
         Gramian(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(BasisError):
         Gramian(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    with pytest.raises(BasisError, match=r"gramian has non-finite entries \(h1\)"):
+        Gramian(np.array([[1.0, np.nan], [np.nan, 1.0]]), "h1")
+
+
+def test_hermite_basis_past_int64_factorials():
+    # 21! does not fit in int64; the norms take k! as a float, which
+    # overflows from 171! on
+    b = hermite_basis(22)
+    assert np.abs(b.gram() - np.eye(22)).max() <= 1e-12
+    with pytest.raises(BasisError, match="hermite dimension must be <= 171"):
+        hermite_basis(172)
 
 
 def test_gramian_orthonormalize_identity():
@@ -142,11 +153,6 @@ def test_derivative_evaluation():
     bh = hermite_basis(5)
     numeric = (bh.evaluate(x + h) - bh.evaluate(x - h)) / (2 * h)
     assert np.abs(numeric - bh.evaluate_deriv(x)).max() <= 1e-6
-
-
-def test_h1_gramian_rejects_too_few_quadrature_nodes():
-    with pytest.raises(BasisError):
-        h1_gramian(legendre_basis(8), quad_nodes=2)
 
 
 def test_basis_owns_its_arrays():

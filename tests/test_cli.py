@@ -237,6 +237,34 @@ def test_recover_hermite_basis_end_to_end(tmp_path, capsys):
     assert load_tt(out).dims == (5, 5, 5)
 
 
+def test_recover_hermite_basis_past_int64_factorials(tmp_path, capsys):
+    # the norms sqrt(k!) of a dimension-22 basis need 21!, past int64
+    samples = write_constant_fixture(tmp_path, n=60, M=2)
+    cfg = write_config(tmp_path, basis="hermite", dimension=22, max_rank=1, max_sweeps=1)
+    out = tmp_path / "model.tt"
+    rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+               "--out", str(out)])
+    assert rc == 0
+    from ttrec.tensor_core import load_tt
+    assert load_tt(out).dims == (22, 22)
+
+
+@pytest.mark.parametrize("dimension, message", [
+    (100, "gramian has non-finite entries (h1)"),   # its 400-node Gauss rule overflows
+    (172, "hermite dimension must be <= 171"),      # 171! overflows a float
+])
+def test_recover_hermite_dimension_errors_exit_2(tmp_path, capsys, dimension, message):
+    samples = write_constant_fixture(tmp_path, n=60, M=2)
+    cfg = write_config(tmp_path, basis="hermite", dimension=dimension, max_rank=1,
+                       max_sweeps=1)
+    out = tmp_path / "model.tt"
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+                   "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_recover_all_nan_validation_writes_no_model(tmp_path, capsys):
     # values near 1e160 overflow the squared norms of the relative error, so
     # every sweep's validation error is NaN and no sweep is the best

@@ -212,7 +212,7 @@ def test_cv_ties_go_to_largest_lambda_in_both_cvs():
     # of the grid, so those lambdas tie bit for bit
     truth = np.zeros(8)
     truth[3] = 2.0
-    lasso = cv_select_lambda(A, A @ truth, np.ones(8), folds=10, seed=0)
+    lasso = cv_select_lambda(A, A @ truth, folds=10, seed=0)
     best = np.flatnonzero(lasso.mean_errors == lasso.mean_errors.min())
     assert len(best) > 1 and lasso.chosen == lasso.lambdas[best[0]]
     # ridge: with a zero target every fold's fit is zero at every penalty
@@ -272,9 +272,9 @@ def test_lasso_microsteps_run_one_homotopy_pass(monkeypatch):
     homotopy = sp._homotopy
     stacks = []
 
-    def counting(G, b, h, lams):
+    def counting(G, b, lams):
         stacks.append(len(G))
-        return homotopy(G, b, h, lams)
+        return homotopy(G, b, lams)
 
     monkeypatch.setattr(sp, "_homotopy", counting)
     rng = np.random.default_rng(28)
@@ -334,7 +334,7 @@ def test_lasso_microstep_objective_decomposition():
     A = rng.standard_normal((30, 8))
     u = rng.standard_normal(30)
     from ttrec.sparse_solver import cv_select_lambda
-    cv = cv_select_lambda(A, u, np.ones(8), folds=5, seed=0)
+    cv = cv_select_lambda(A, u, folds=5, seed=0)
     raw = lasso_solve(LassoProblem(A, u, np.ones(8), cv.chosen))
     deb = debias_on_support(A, u, raw)
 

@@ -25,6 +25,10 @@ def test_problem_validation():
         LassoProblem(A, np.array([1.0, np.nan, 0.0]), np.ones(2))
     with pytest.raises(SparseSolverError):
         LassoProblem(A, np.ones(3), np.ones(2), lam=-1.0)
+    with pytest.raises(SparseSolverError):
+        LassoProblem(A, np.ones(3), np.ones(2), lam=np.nan)
+    with pytest.raises(SparseSolverError):
+        LassoProblem(A, np.ones(3), np.ones(2), lam=np.inf)
 
 
 def test_unregularized_limit_is_least_squares():
@@ -86,8 +90,8 @@ def test_path_objective_no_worse_than_descent():
     y = rng.standard_normal(15)
     omega = np.ones(8)
     G, b = A.T @ A, A.T @ y
-    lams = lambda_grid(A, y, omega)
-    X = _path(G, b, omega / 2.0, lams)
+    lams = lambda_grid(A, y)
+    X = _path(G, b, omega, lams)
     X_cd, _ = reference_cd_gram(G, b, lams[:, None] * omega / 2.0, np.zeros(8))
     for lam, x, x_cd in zip(lams, X, X_cd):
         ref = lasso_objective(A, y, omega, lam, x_cd)
@@ -116,7 +120,7 @@ def test_nonconvergence_warns_with_residual(monkeypatch):
         v = lasso_solve(prob)     # underdetermined, small lambda: certified
     assert kkt_residual(prob, v) <= KKT_TOL
 
-    def wrong_path(G, b, h, lams):
+    def wrong_path(G, b, lams):
         # every problem's path claims x_0 = 1 and nothing else at every lambda
         F = len(b)
         yield (np.arange(F), np.ones(F, dtype=np.intp), np.zeros((F, 1), dtype=np.intp),
@@ -125,7 +129,7 @@ def test_nonconvergence_warns_with_residual(monkeypatch):
 
     monkeypatch.setattr(sp, "_homotopy", wrong_path)
     for solve in (lambda: lasso_solve(prob),
-                  lambda: cv_select_lambda(A, y, np.ones(25), folds=5, seed=0)):
+                  lambda: cv_select_lambda(A, y, folds=5, seed=0)):
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
             solve()
@@ -162,7 +166,7 @@ def test_lambda_grid_shape():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((10, 4))
     y = rng.standard_normal(10)
-    lams = lambda_grid(A, y, np.ones(4))
+    lams = lambda_grid(A, y)
     assert len(lams) == 25
     assert np.isclose(lams[0], 2 * np.abs(A.T @ y).max())
     assert np.isclose(lams[-1], lams[0] * 1e-4)
@@ -175,7 +179,7 @@ def test_cv_exact_recovery_of_one_sparse_target():
     truth = np.zeros(8)
     truth[3] = 2.0
     y = A @ truth
-    report = cv_select_lambda(A, y, np.ones(8), folds=10, seed=0)
+    report = cv_select_lambda(A, y, folds=10, seed=0)
     v = debias_on_support(A, y, lasso_solve(LassoProblem(A, y, np.ones(8), report.chosen)))
     assert set(np.nonzero(v)[0]) == {3}
     assert np.abs(v - truth).max() <= 1e-8
@@ -183,7 +187,7 @@ def test_cv_exact_recovery_of_one_sparse_target():
 
 def test_cv_zero_target_returns_lambda_max():
     A = np.eye(12)
-    report = cv_select_lambda(A, np.zeros(12), np.ones(12), folds=4)
+    report = cv_select_lambda(A, np.zeros(12), folds=4)
     assert report.chosen == 0.0  # lambda_max is 0 for a zero target
     assert np.all(report.mean_errors == 0.0)
 
@@ -192,7 +196,7 @@ def test_cv_identical_rows_give_identical_fold_errors():
     row = np.array([1.0, -2.0, 0.5])
     A = np.tile(row, (8, 1))
     y = np.full(8, 3.0)
-    report = cv_select_lambda(A, y, np.ones(3), folds=2, seed=1)
+    report = cv_select_lambda(A, y, folds=2, seed=1)
     # every fold sees the same data, so the mean is fold-independent;
     # recompute one fold by hand and compare
     idx = fold_indices(8, 2, 1)
@@ -210,17 +214,7 @@ def test_cv_identical_rows_give_identical_fold_errors():
 
 def test_cv_requires_enough_samples():
     with pytest.raises(SparseSolverError):
-        cv_select_lambda(np.ones((5, 2)), np.ones(5), np.ones(2), folds=10)
-
-
-def test_cv_select_lambda_rejects_bad_coordinate_weights():
-    # checked before the grid, which divides by the smallest weight
-    rng = np.random.default_rng(36)
-    A, y = rng.standard_normal((30, 4)), rng.standard_normal(30)
-    for omega in ([1.0, 0.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0], [1.0, np.nan, 1.0, 1.0],
-                  [1.0, 1.0, 1.0]):
-        with pytest.raises(SparseSolverError, match="coordinate weights must be positive"):
-            cv_select_lambda(A, y, np.array(omega), folds=5)
+        cv_select_lambda(np.ones((5, 2)), np.ones(5), folds=10)
 
 
 def test_cv_fold_determinism():
@@ -245,7 +239,7 @@ def test_fold_indices_drawn_once_and_read_only():
 
 def test_cv_report_invariant():
     with pytest.raises(SparseSolverError):
-        CvReport(np.array([1.0, 0.1]), np.array([0.5, 0.1]), chosen=1.0, seed=0)
+        CvReport(np.array([1.0, 0.1]), np.array([0.5, 0.1]), chosen=1.0)
 
 
 def test_cv_tie_break_prefers_largest_lambda():
@@ -254,7 +248,7 @@ def test_cv_tie_break_prefers_largest_lambda():
     rng = np.random.default_rng(11)
     A = np.ones((20, 1))
     y = np.zeros(20)
-    report = cv_select_lambda(A, y, np.ones(1), folds=5, seed=0)
+    report = cv_select_lambda(A, y, folds=5, seed=0)
     assert report.chosen == report.lambdas.max()
 
 
@@ -262,22 +256,25 @@ def test_cv_tie_break_prefers_largest_lambda():
 # the homotopy path against its contracts and the reference descent
 
 
-def _segments(G, b, h, lams):
-    """The segments of ``_homotopy``'s batches one at a time: ``(f, S, q, w,
-    lo, hi)`` with the support ``S`` and ``q``, ``w`` on it."""
-    for f, k, S, q, w, lo, hi in _homotopy(G, b, h, lams):
+def _segments(G, b, omega, lams):
+    """The segments of the paths with coordinate weights ``omega`` one at a
+    time: ``(f, S, q, w, lo, hi)`` with the support ``S`` and ``q``, ``w`` on
+    it.  ``_homotopy`` runs on the rescaled Grams ``G / (omega omega^T)``,
+    ``b / omega``, and ``q``, ``w`` are mapped back by ``1 / omega``."""
+    for f, k, S, q, w, lo, hi in _homotopy(G / np.outer(omega, omega), b / omega, lams):
         for i, ki in enumerate(k):
-            yield f[i], S[i, :ki], q[i, :ki], w[i, :ki], lo[i], hi[i]
+            Si = S[i, :ki]
+            yield f[i], Si, q[i, :ki] / omega[Si], w[i, :ki] / omega[Si], lo[i], hi[i]
 
 
-def _path(G, b, h, lams):
+def _path(G, b, omega, lams):
     """The paths' solutions at every grid lambda: (L, p) for one problem
     ``G`` (p, p), (L, F, p) for a stack of F problems run together."""
     one = G.ndim == 2
     if one:
         G, b = G[None], b[None]
     X = np.zeros((len(lams),) + b.shape)
-    for f, S, q, w, lo, hi in _segments(G, b, h, lams):
+    for f, S, q, w, lo, hi in _segments(G, b, omega, lams):
         X[lo:hi, f, S] = w - lams[lo:hi, None] * q
     return X[:, 0] if one else X
 
@@ -300,24 +297,26 @@ def test_path_kkt_at_every_grid_lambda():
     for n, p in ((60, 9), (30, 40)):       # fold rows above and below p
         A, y, G, b = _fold_problem(rng, n, p, 5)
         omega = rng.uniform(0.5, 2.0, p)
-        lams = lambda_grid(A, y, omega)
-        X = _path(G, b, omega / 2.0, lams)        # the folds run together
+        # the weighted problem's grid, from 2 max|A^T y| / min(omega)
+        lam_max = 2.0 * float(np.abs(A.T @ y).max(initial=0.0)) / float(np.min(omega))
+        lams = np.geomspace(lam_max, lam_max * 10.0 ** (-4.0), 25)
+        X = _path(G, b, omega, lams)        # the folds run together
         for f, (Gf, bf) in enumerate(zip(G, b)):
             tol = 1e-12 * max(1.0, np.abs(bf).max())
             for lam, x in zip(lams, X[:, f]):
                 assert _kkt_from_gram(Gf @ x, bf, lam * omega / 2.0, x) <= tol
             # one path on its own gives the same solutions
-            alone = _path(Gf, bf, omega / 2.0, lams)
+            alone = _path(Gf, bf, omega, lams)
             assert np.allclose(alone, X[:, f], rtol=1e-10, atol=1e-12)
 
 
 def test_path_lists_supports_in_join_order():
     # the G_SS solves and the held-out scoring sum over a support in the
     # order its coordinates joined, so that order fixes the results' bits.
-    # On a diagonal G no coordinate leaves, and j joins at lam = |b_j| / h_j
+    # On a diagonal G no coordinate leaves, and j joins at lam = 2 |b_j|
     G = np.diag([1.0, 2.0, 0.5, 3.0, 1.5])
     b = np.array([0.3, -2.0, 0.9, 4.0, -0.1])
-    h = np.full(5, 0.5)
+    omega = np.ones(5)
     order = [3, 1, 2, 0, 4]              # not index order
     perm = np.array([4, 2, 0, 3, 1])     # the same problem, coordinates renamed
     Gs = np.stack([G, G[np.ix_(perm, perm)]])
@@ -325,11 +324,11 @@ def test_path_lists_supports_in_join_order():
     expected = [order, [int(np.flatnonzero(perm == j)[0]) for j in order]]
     lams = np.geomspace(10.0, 0.01, 25)
     sizes = set()
-    for f, S, q, w, lo, hi in _segments(Gs, bs, h, lams):
+    for f, S, q, w, lo, hi in _segments(Gs, bs, omega, lams):
         assert S.tolist() == expected[f][:S.size]
         sizes.add(S.size)
         x = w - lams[lo] * q
-        soft = soft_threshold(bs[f], lams[lo] * h) / np.diag(Gs[f])
+        soft = soft_threshold(bs[f], lams[lo] * omega / 2.0) / np.diag(Gs[f])
         assert np.allclose(x, soft[S], rtol=1e-12, atol=0)
     assert sizes == {0, 1, 2, 3, 4, 5}
 
@@ -340,7 +339,7 @@ def test_path_matches_prox_gradient_oracle():
     y = rng.standard_normal(20)
     omega = rng.uniform(0.5, 2.0, 12)
     lams = np.array([3.0, 1.0, 0.3, 0.05])
-    X = _path(A.T @ A, A.T @ y, omega / 2.0, lams)
+    X = _path(A.T @ A, A.T @ y, omega, lams)
     for lam, x in zip(lams, X):
         ref = prox_gradient_lasso(A, y, omega, lam)
         assert np.abs(x - ref).max() <= 1e-6
@@ -357,8 +356,8 @@ def test_path_with_zero_and_duplicate_columns():
     y = A[:, :2] @ np.array([1.0, -1.5]) + 0.1 * rng.standard_normal(15)
     omega = np.ones(7)
     G, b = A.T @ A, A.T @ y
-    lams = lambda_grid(A, y, omega)
-    X = _path(G, b, omega / 2.0, lams)
+    lams = lambda_grid(A, y)
+    X = _path(G, b, omega, lams)
     assert np.all(X[:, 2] == 0.0)
     for lam, x in zip(lams, X):
         assert _kkt_from_gram(G @ x, b, lam * omega / 2.0, x) <= 1e-12 * np.abs(b).max()
@@ -371,12 +370,12 @@ def test_cv_select_lambda_matches_reference():
     for n, p, folds in ((60, 10, 5), (45, 20, 3)):
         A, y, G, b = _fold_problem(rng, n, p, folds)
         omega = rng.uniform(0.5, 2.0, p)
-        report = cv_select_lambda(A, y, omega, folds=folds, seed=0)
+        report = cv_select_lambda(A / omega, y, folds=folds, seed=0)
         mean_errors, chosen, supports = reference_cv_errors(A, y, omega, folds=folds, seed=0)
         assert report.chosen == chosen
         # the descent stops early and may leave a coordinate of about 1e-5
         # in or out, so errors are compared where every fold's support agrees
-        path = _path(G, b, omega / 2.0, report.lambdas)
+        path = _path(G, b, omega, report.lambdas)
         agree = np.all((path != 0) == supports, axis=(1, 2))
         assert agree.sum() >= len(agree) - 2
         assert np.allclose(report.mean_errors[agree], mean_errors[agree], rtol=1e-9, atol=0.0)
@@ -391,10 +390,10 @@ def test_cv_fit_has_lasso_solve_support():
         truth = np.where(rng.random(p) < 0.4, rng.standard_normal(p), 0.0)
         y = A @ truth + 0.1 * rng.standard_normal(n)
         omega = rng.uniform(0.5, 2.0, p)
-        cv = cv_select_lambda(A, y, omega, folds=5, seed=int(rng.integers(100)))
+        cv = cv_select_lambda(A / omega, y, folds=5, seed=int(rng.integers(100)))
         alone = lasso_solve(LassoProblem(A, y, omega, cv.chosen))
-        assert np.array_equal(np.nonzero(cv.fit)[0], np.nonzero(alone)[0])
-        assert np.allclose(cv.fit, alone, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(np.nonzero(cv.fit / omega)[0], np.nonzero(alone)[0])
+        assert np.allclose(cv.fit / omega, alone, rtol=1e-10, atol=1e-12)
 
 
 def test_fold_grams_stack_folds_then_all_rows():
@@ -428,9 +427,9 @@ def test_cv_scores_each_fold_segment_once(monkeypatch):
     for seed, n, p in ((17, 60, 10), (0, 30, 20)):
         A, y, G, b = _fold_problem(np.random.default_rng(seed), n, p, 5)
         omega = np.ones(p)
-        lams = lambda_grid(A, y, omega)
+        lams = lambda_grid(A, y)
         fits = [np.isin(np.arange(n), hold, invert=True) for hold in fold_indices(n, 5, 0)]
-        segments = list(_segments(G, b, omega / 2.0, lams))
+        segments = list(_segments(G, b, omega, lams))
         for f, S, _, w, _, _ in segments:
             # each segment's w is the least-squares refit on its support
             if S.size:
@@ -442,7 +441,7 @@ def test_cv_scores_each_fold_segment_once(monkeypatch):
         # the path starts from the empty support at the largest lambdas
         assert (0, b"") in supports
         scores.clear()
-        cv_select_lambda(A, y, omega, folds=5, seed=0)
+        cv_select_lambda(A, y, folds=5, seed=0)
         assert len(scores) == len(segments)
         # a support a path returns to scores as on its first visit, up to
         # the rounding of a refit whose coordinates joined in another order
@@ -485,8 +484,8 @@ def test_path_stress_degenerate_problems():
             # the full-data fit rides in the folds' stack and is certified too
             with warnings.catch_warnings():
                 warnings.simplefilter("error", ConvergenceWarning)
-                cv = cv_select_lambda(A, y, omega, folds=4, seed=i)
-            fit_res = kkt_residual(LassoProblem(A, y, omega, cv.chosen), cv.fit)
+                cv = cv_select_lambda(A / omega, y, folds=4, seed=i)
+            fit_res = kkt_residual(LassoProblem(A, y, omega, cv.chosen), cv.fit / omega)
             assert fit_res <= max(KKT_TOL, 1e-12 * 2.0 * np.abs(A.T @ y).max())
     assert worst <= 1e-8
 
@@ -498,7 +497,7 @@ def test_cv_transient_memory_within_reference():
     omega = np.ones(72)
     peaks = []
     for run in (lambda: reference_cv_errors(A, y, omega),
-                lambda: cv_select_lambda(A, y, omega)):
+                lambda: cv_select_lambda(A, y)):
         tracemalloc.start()
         try:
             run()
