@@ -1,21 +1,19 @@
 """Univariate orthonormal polynomial bases and RKHS Gramians.
 
-Bases are stored as a linear transform of a reference orthonormal family
-(normalized Legendre on [-1, 1] with the uniform probability measure, or
-normalized probabilists' Hermite under the standard normal).  Transformed
-bases keep enough provenance to evaluate functions, derivatives, and
-sup-norms.
+A basis is a reference orthonormal family and a dimension: normalized
+Legendre on [-1, 1] with the uniform probability measure, or normalized
+probabilists' Hermite under the standard normal.  A Gramian-orthonormal
+change of basis is the matrix ``T`` from ``gramian_orthonormalize``; the new
+functions' values are ``basis.evaluate(x) @ T``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import hermite_e as npherm
 from numpy.polynomial import legendre as npleg
-
-SUP_NORM_GRID = 4001  # grid resolution for sup-norms of transformed bases
 
 
 class BasisError(ValueError):
@@ -52,37 +50,35 @@ class Gramian:
 
 @dataclass(frozen=True)
 class UnivariateBasis:
-    """d functions spanning polynomials of degree < d, with point evaluation.
-
-    ``transform`` expresses the functions in the reference orthonormal
-    family: function k is ``sum_j transform[j, k] * ref_j``.  ``sup_norms``
-    is None when the sup-norms are infinite (Gaussian measure).  Both arrays
-    are kept as read-only copies.
-    """
+    """The first d functions of a reference orthonormal family, with point
+    evaluation; they span the polynomials of degree < d."""
 
     kind: str                 # a key of BASES
     dimension: int
-    transform: np.ndarray
-    sup_norms: np.ndarray | None
 
     def __post_init__(self):
         if self.kind not in BASES:
             raise BasisError(f"unknown basis {self.kind!r}")
-        T = np.array(self.transform, dtype=float, order="C")
-        if T.shape != (self.dimension, self.dimension):
-            raise BasisError("transform shape does not match dimension")
-        T.flags.writeable = False
-        object.__setattr__(self, "transform", T)
-        if self.sup_norms is not None:
-            s = np.array(self.sup_norms, dtype=float)
-            s.flags.writeable = False
-            object.__setattr__(self, "sup_norms", s)
+        if self.dimension < 1:
+            raise BasisError("dimension must be >= 1")
+        if self.kind == "hermite" and self.dimension > 171:
+            # the norms sqrt(k!) need float(k!), which overflows from 171!
+            raise BasisError("hermite dimension must be <= 171")
 
     @property
     def domain(self) -> tuple:
         return (-1.0, 1.0) if self.kind == "legendre" else (-np.inf, np.inf)
 
-    def _ref_values(self, points: np.ndarray) -> np.ndarray:
+    @property
+    def sup_norms(self) -> np.ndarray | None:
+        """``||b_k||_inf``, or None when they are infinite (Gaussian measure)."""
+        if self.kind == "hermite":
+            return None
+        # the k-th Legendre function attains sqrt(2k+1) at the endpoints
+        return np.sqrt(2 * np.arange(self.dimension) + 1.0)
+
+    def evaluate(self, points) -> np.ndarray:
+        """Basis values at ``points``; shape ``points.shape + (d,)``, C-ordered."""
         points = np.asarray(points, dtype=float)
         d = self.dimension
         if self.kind == "legendre":
@@ -91,9 +87,12 @@ class UnivariateBasis:
         else:
             V = npherm.hermevander(points, d - 1)
             scale = 1.0 / np.sqrt([float(math.factorial(k)) for k in range(d)])
-        return V * scale
+        # the Vandermonde arrays are F-ordered, and a product with the values
+        # (a gemv) sums in an order that follows their layout: C order keeps
+        # the last digits of every output fixed
+        return np.multiply(V, scale, order="C")
 
-    def _ref_derivatives(self, points: np.ndarray) -> np.ndarray:
+    def evaluate_deriv(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         d = self.dimension
         out = np.zeros(points.shape + (d,))
@@ -103,18 +102,11 @@ class UnivariateBasis:
                 coef[k] = np.sqrt(2 * k + 1)
                 out[..., k] = npleg.legval(points, npleg.legder(coef))
         else:
-            # He_k' = k He_{k-1}  =>  normalized derivative is sqrt(k) ref_{k-1}
-            ref = self._ref_values(points)
+            # He_k' = k He_{k-1}  =>  normalized derivative is sqrt(k) b_{k-1}
+            vals = self.evaluate(points)
             for k in range(1, d):
-                out[..., k] = np.sqrt(k) * ref[..., k - 1]
+                out[..., k] = np.sqrt(k) * vals[..., k - 1]
         return out
-
-    def evaluate(self, points) -> np.ndarray:
-        """Basis values at ``points``; shape ``points.shape + (d,)``."""
-        return self._ref_values(points) @ self.transform
-
-    def evaluate_deriv(self, points) -> np.ndarray:
-        return self._ref_derivatives(points) @ self.transform
 
     def quadrature(self, nodes: int) -> tuple:
         """Gauss nodes/weights for the basis measure (weights sum to 1)."""
@@ -132,35 +124,19 @@ class UnivariateBasis:
 
 
 def legendre_basis(d: int) -> UnivariateBasis:
-    """Normalized Legendre polynomials on [-1, 1] with rho = dx/2.
-
-    The k-th function attains its sup-norm sqrt(2k+1) at the endpoints.
-    """
-    if d < 1:
-        raise BasisError("dimension must be >= 1")
-    sup = np.sqrt(2 * np.arange(d) + 1.0)
-    return UnivariateBasis("legendre", d, np.eye(d), sup)
+    """Normalized Legendre polynomials on [-1, 1] with rho = dx/2."""
+    return UnivariateBasis("legendre", d)
 
 
 def hermite_basis(d: int) -> UnivariateBasis:
     """Probabilists' Hermite polynomials normalized in L2 of the standard
     normal; sup-norms are infinite."""
-    if d < 1:
-        raise BasisError("dimension must be >= 1")
-    if d > 171:     # the norms sqrt(k!) need float(k!), which overflows from 171!
-        raise BasisError("hermite dimension must be <= 171")
-    return UnivariateBasis("hermite", d, np.eye(d), None)
+    return UnivariateBasis("hermite", d)
 
 
 # the reference families by name (a basis's ``kind``): name -> constructor
 # taking the dimension
 BASES = {"legendre": legendre_basis, "hermite": hermite_basis}
-
-
-def _grid_sup_norms(basis: UnivariateBasis) -> np.ndarray:
-    lo, hi = basis.domain
-    grid = np.linspace(lo, hi, SUP_NORM_GRID)
-    return np.abs(basis.evaluate(grid)).max(axis=0)
 
 
 def diag_sup_gramian(basis: UnivariateBasis) -> Gramian:
@@ -177,19 +153,23 @@ def diag_sup_gramian(basis: UnivariateBasis) -> Gramian:
 
 def h1_gramian(basis: UnivariateBasis) -> Gramian:
     """Sobolev-style Gramian ``g_ij = int (b_i b_j + b_i' b_j') drho`` on 4 d Gauss nodes."""
-    x, w = basis.quadrature(4 * basis.dimension)
-    B = basis.evaluate(x)
-    dB = basis.evaluate_deriv(x)
-    return Gramian(B.T @ (w[:, None] * B) + dB.T @ (w[:, None] * dB), "h1")
+    # a rule too large for floats (Hermite, d = 100) overflows; Gramian
+    # rejects the non-finite result
+    with np.errstate(all="ignore"):
+        x, w = basis.quadrature(4 * basis.dimension)
+        B = basis.evaluate(x)
+        dB = basis.evaluate_deriv(x)
+        g = B.T @ (w[:, None] * B) + dB.T @ (w[:, None] * dB)
+    return Gramian(g, "h1")
 
 
-def gramian_orthonormalize(basis: UnivariateBasis, g: Gramian):
-    """Change of basis making ``g`` the identity.
+def gramian_orthonormalize(basis: UnivariateBasis, g: Gramian) -> np.ndarray:
+    """The change of basis ``T`` making ``g`` the identity: ``T^T G T = Id``.
 
-    Uses the spectral decomposition ``G = Q S Q^T``; the new functions are
-    ``Q S^{-1/2}`` applied to the old ones, hence g-orthonormal and still
-    L2-orthogonal (a Riesz sequence with L2 norms ``s_k^{-1/2}``).  Returns
-    ``(new_basis, T)`` with ``T^T G T = Id``.
+    Uses the spectral decomposition ``G = Q S Q^T`` and ``T = Q S^{-1/2}``.
+    The functions ``basis.evaluate(x) @ T`` are g-orthonormal and still
+    L2-orthogonal (a Riesz sequence with L2 norms ``s_k^{-1/2}``), and
+    coefficients ``c`` in them are ``T c`` in ``basis``.
     """
     if g.dimension != basis.dimension:
         raise BasisError("gramian dimension does not match basis")
@@ -198,15 +178,10 @@ def gramian_orthonormalize(basis: UnivariateBasis, g: Gramian):
         raise BasisError("gramian is not positive definite")
     T = Q / np.sqrt(s)
     # sign convention: positive leading coefficient, i.e. the highest-degree
-    # reference contribution of every new function is positive
-    T = np.array(T)
+    # contribution of every new function is positive
     for k in range(T.shape[1]):
         col = T[:, k]
         j = np.nonzero(np.abs(col) > 1e-14 * np.abs(col).max())[0][-1]
         if col[j] < 0:
             T[:, k] = -col
-    combined = basis.transform @ T
-    new = UnivariateBasis(basis.kind, basis.dimension, combined, None)
-    sup = _grid_sup_norms(new) if basis.kind == "legendre" else None
-    new = replace(new, sup_norms=sup)
-    return new, T
+    return T

@@ -6,9 +6,9 @@ Four microstep flavors share one sweep engine, and ``_plan`` states each once:
 * ``als_l2``  -- ridge with cross-validated penalty,
 * ``rals``    -- weighted LASSO in the eigenbasis of the local Gramian of the
                  model space (rotation by Q, weights sqrt(S), rotation back),
-* ``r2als``   -- plain LASSO after a one-time Gramian-orthonormalization of
-                 the univariate basis; the returned train is mapped back to
-                 the caller's basis.
+* ``r2als``   -- plain LASSO on the univariate basis values times ``T``,
+                 the one-time change of basis that makes the Gramian the
+                 identity; the returned train is mapped back with ``T``.
 
 Each sweep right-orthogonalizes the train, builds the per-sample interface
 stacks on the training partition, and walks modes left to right: it solves
@@ -405,26 +405,26 @@ def rank_adapt(tt: TensorTrain, m: int, theta: float, buffer: int,
 
 
 def _plan(config: RecoveryConfig, basis: UnivariateBasis):
-    """``(work_basis, T, microstep)``: the basis the sweeps work in, ``T``
-    with coefficients ``c`` in it being ``T c`` in ``basis`` (None for all but
-    ``r2als``), and the microstep ``(A, u, tt, m) -> (v, lam)`` of mode ``m``.
+    """``(T, microstep)``: ``T`` the matrix applied to the basis values, with
+    coefficients ``c`` in the new functions being ``T c`` in ``basis`` (None
+    for all but ``r2als``), and the microstep ``(A, u, tt, m) -> (v, lam)``
+    of mode ``m``.
     It looks ``microstep_*`` and ``local_gramian`` up as module attributes
     at each call, so replacing them (the benchmark's tracer) reaches it."""
     cv = (config.cv_folds, config.seed, config.lambda_grid_decades,
           config.lambda_grid_points)
     if config.algorithm == "als":
-        return basis, None, lambda A, u, tt, m: microstep_ls(A, u)
+        return None, lambda A, u, tt, m: microstep_ls(A, u)
     if config.algorithm == "als_l2":
-        return basis, None, lambda A, u, tt, m: microstep_l2(A, u, *cv)
+        return None, lambda A, u, tt, m: microstep_l2(A, u, *cv)
     # infinite sup-norms (Gaussian measure): diag_sup falls back to the
     # Sobolev-style Gramian
     g = (h1_gramian if config.gramian == "h1" or basis.sup_norms is None
          else diag_sup_gramian)(basis)
     if config.algorithm == "rals":
-        return basis, None, lambda A, u, tt, m: microstep_rals(
+        return None, lambda A, u, tt, m: microstep_rals(
             A, u, local_gramian(tt, m, g.matrix), *cv)
-    work_basis, T = gramian_orthonormalize(basis, g)
-    return work_basis, T, lambda A, u, tt, m: microstep_r2als(A, u, *cv)
+    return gramian_orthonormalize(basis, g), lambda A, u, tt, m: microstep_r2als(A, u, *cv)
 
 
 def _initial_tt(dims, ranks, rng, scale: float) -> TensorTrain:
@@ -478,7 +478,7 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     M = samples.order
     rng = np.random.default_rng(config.seed)
 
-    work_basis, T, microstep = _plan(config, basis)
+    T, microstep = _plan(config, basis)
     train_idx, val_idx = _split_samples(samples, config.validation_fraction, config.seed)
     if len(train_idx) == 0:
         raise RecoveryError("the sample split leaves no training samples")
@@ -490,12 +490,14 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     if config.algorithm != "als" and len(train_idx) < config.cv_folds:
         raise RecoveryError(f"{len(train_idx)} training samples are fewer than the "
                             f"{config.cv_folds} cross-validation folds")
-    B = [work_basis.evaluate(samples.points[:, m]) for m in range(M)]
+    B = [basis.evaluate(samples.points[:, m]) for m in range(M)]
+    if T is not None:   # r2als: the values of the g-orthonormal functions
+        B = [b @ T for b in B]
     # the microsteps read only the training rows of the design
     B_train = [b[train_idx] for b in B]
     w_train = samples.weights[train_idx]
     u = np.sqrt(w_train) * samples.values[train_idx]
-    d = work_basis.dimension
+    d = basis.dimension
 
     scale = float(np.mean(samples.values[train_idx]))
     if scale == 0.0:

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -254,15 +255,18 @@ def test_recover_hermite_basis_past_int64_factorials(tmp_path, capsys):
     (172, "hermite dimension must be <= 171"),      # 171! overflows a float
 ])
 def test_recover_hermite_dimension_errors_exit_2(tmp_path, capsys, dimension, message):
+    # one line on stderr: a floating-point warning would be an error here
     samples = write_constant_fixture(tmp_path, n=60, M=2)
-    cfg = write_config(tmp_path, basis="hermite", dimension=dimension, max_rank=1,
-                       max_sweeps=1)
     out = tmp_path / "model.tt"
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
-                   "--out", str(out)])
-    assert rc == 2 and not out.exists()
-    assert capsys.readouterr().err == f"error: {message}\n"
+    for algorithm in ("rals", "r2als"):
+        cfg = write_config(tmp_path, algorithm=algorithm, basis="hermite",
+                           dimension=dimension, max_rank=1, max_sweeps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+                       "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_recover_all_nan_validation_writes_no_model(tmp_path, capsys):

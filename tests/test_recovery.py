@@ -528,6 +528,38 @@ def test_sweeps_call_the_module_attributes(algorithm, microstep, monkeypatch):
     assert calls == expect
 
 
+def test_r2als_designs_on_the_basis_values_times_T(monkeypatch):
+    # r2als's first design matrix is, to the bit, the one built from the
+    # caller's basis values times the Gramian-orthonormal change of basis T
+    import ttrec.recovery as recovery
+    first = {}
+    microstep, interface = recovery.microstep_r2als, recovery.fixed_interface
+
+    def spy_microstep(A, *args, **kwargs):
+        first.setdefault("A", A.copy())
+        return microstep(A, *args, **kwargs)
+
+    def spy_interface(tt, m, B):
+        first.setdefault("tt", tt)
+        return interface(tt, m, B)
+
+    monkeypatch.setattr(recovery, "microstep_r2als", spy_microstep)
+    monkeypatch.setattr(recovery, "fixed_interface", spy_interface)
+    M = 3
+    basis = legendre_basis(4)
+    rng = np.random.default_rng(37)
+    pts = rng.uniform(-1, 1, (60, M))
+    train = np.arange(45)
+    samples = SampleSet(pts, np.exp(pts.sum(axis=1) / 3.0), train_idx=train,
+                        val_idx=np.arange(45, 60))
+    cfg = RecoveryConfig(algorithm="r2als", max_rank=2, max_sweeps=1, seed=0)
+    assert recover(samples, cfg, basis).aborted is None
+    T = gramian_orthonormalize(basis, diag_sup_gramian(basis))
+    B = [(basis.evaluate(pts[:, m]) @ T)[train] for m in range(M)]
+    A = design_matrix(fixed_interface(first["tt"], 0, B), samples.weights[train])
+    assert np.array_equal(first["A"], A)
+
+
 def test_hermite_diag_sup_falls_back_to_h1():
     # a Hermite basis has infinite sup-norms, so the diag_sup Gramian is
     # unavailable and both Gramian-based algorithms use h1
@@ -588,8 +620,8 @@ def test_zero_weight_partition_raises(algorithm):
 
 @pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
 def test_report_is_in_the_callers_basis(algorithm):
-    # r2als sweeps in a Gramian-orthonormal copy of the basis and maps its
-    # train back: every report's train evaluates in the basis passed in, and
+    # r2als sweeps on the basis values times T and maps its train back
+    # with T: every report's train evaluates in the basis passed in, and
     # its errors are those of that train
     rng = np.random.default_rng(35)
     basis = legendre_basis(4)
