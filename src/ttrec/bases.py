@@ -59,6 +59,9 @@ class UnivariateBasis:
     def __post_init__(self):
         if self.kind not in BASES:
             raise BasisError(f"unknown basis {self.kind!r}")
+        if isinstance(self.dimension, bool) or not isinstance(self.dimension,
+                                                              (int, np.integer)):
+            raise BasisError(f"dimension must be an integer, got {self.dimension!r}")
         if self.dimension < 1:
             raise BasisError("dimension must be >= 1")
         if self.kind == "hermite" and self.dimension > 171:

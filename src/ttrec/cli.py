@@ -159,7 +159,7 @@ def svg_heatmap(matrix, row_labels, col_labels, path):
 # keys ``recover`` reads itself with their defaults (a value takes its
 # default's type)
 RECOVERY_KEYS = typing.get_type_hints(RecoveryConfig)
-EXTRA_KEYS = {"basis": "legendre", "dimension": 8, "test_fraction": 0.1}
+EXTRA_KEYS = {"basis": "legendre", "dimension": 8}
 
 
 def read_recovery_config(path):
@@ -172,7 +172,8 @@ def read_recovery_config(path):
         raise CliError(f"cannot read config file {path}")
     if not parser.has_section("recovery"):
         raise CliError(f"{path}: missing [recovery] section")
-    cfg_kwargs, extras = {}, dict(EXTRA_KEYS)
+    # unlike the library, the command line holds out a test share by default
+    cfg_kwargs, extras = {"test_fraction": 0.1}, dict(EXTRA_KEYS)
     for key, raw in parser.items("recovery"):
         if key in RECOVERY_KEYS:
             into, conv = cfg_kwargs, RECOVERY_KEYS[key]
@@ -188,8 +189,6 @@ def read_recovery_config(path):
         raise CliError(f"{path}: unknown basis {extras['basis']!r}")
     if extras["dimension"] < 1:
         raise CliError(f"{path}: dimension must be >= 1")
-    if not 0.0 <= extras["test_fraction"] < 1.0:
-        raise CliError(f"{path}: test_fraction must lie in [0, 1)")
     try:
         cfg = RecoveryConfig(**cfg_kwargs)
     except Exception as exc:
@@ -261,16 +260,6 @@ def cmd_recover(args) -> int:
     cfg, extras = read_recovery_config(args.config)
     samples = read_sample_csv(args.samples)
     basis = BASES[extras["basis"]](extras["dimension"])
-    # deterministic test/validation split driven by the config seed
-    n = samples.size
-    rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(n)
-    n_test = int(round(extras["test_fraction"] * n))
-    rest = perm[n_test:]
-    n_val = max(1, int(round(cfg.validation_fraction * len(rest))))
-    samples = SampleSet(samples.points, samples.values, samples.weights,
-                        train_idx=np.sort(rest[n_val:]), val_idx=np.sort(rest[:n_val]),
-                        test_idx=np.sort(perm[:n_test]) if n_test else None)
     report = recover(samples, cfg, basis)
     if report.best_sweep < 0:
         # no sweep completed, or none has a finite validation error (they are

@@ -10,6 +10,11 @@ Four microstep flavors share one sweep engine, and ``_plan`` states each once:
                  the one-time change of basis that makes the Gramian the
                  identity; the returned train is mapped back with ``T``.
 
+``recover`` alone splits the samples, once per call: one permutation
+seeded by ``config.seed`` gives the test share (``test_fraction``), then
+the validation share of the rest (``validation_fraction``, at least one
+sample), and the remainder trains.
+
 Each sweep right-orthogonalizes the train, builds the per-sample interface
 stacks on the training partition, and walks modes left to right: it solves
 the configured microstep on the design rows read from the stacks,
@@ -50,24 +55,14 @@ class RecoveryError(RuntimeError):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Point samples of the target function with optional partitions.
-
-    Every point has at least one parameter column.
-
-    A partition is an array of distinct sample indices in ``[0, n)``; no
-    sample may be in two partitions.  ``train_idx`` and ``val_idx`` come
-    together or not at all; without them ``recover`` splits the samples
-    outside ``test_idx`` at random.  The set keeps read-only copies of the
-    arrays it is given, so writing to the caller's arrays leaves it
-    unchanged.
+    """Point samples of the target function; every point has at least one
+    parameter column.  The set keeps read-only copies of the arrays it is
+    given, so writing to the caller's arrays leaves it unchanged.
     """
 
     points: np.ndarray            # (n, M)
     values: np.ndarray            # (n,)
     weights: np.ndarray = None    # (n,) nonnegative, default 1
-    train_idx: np.ndarray = None
-    val_idx: np.ndarray = None
-    test_idx: np.ndarray = None
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float, ndmin=2)
@@ -89,27 +84,6 @@ class SampleSet:
         for name, arr in (("points", pts), ("values", vals), ("weights", w)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if (self.train_idx is None) != (self.val_idx is None):
-            raise RecoveryError("train_idx and val_idx must be given together")
-        seen = np.zeros(n, dtype=bool)
-        for name in ("train_idx", "val_idx", "test_idx"):
-            idx = getattr(self, name)
-            if idx is None:
-                continue
-            idx = np.array(idx)
-            if idx.size == 0:
-                idx = np.zeros(0, dtype=np.intp)
-            if idx.ndim != 1 or idx.dtype.kind not in "iu":
-                raise RecoveryError(f"{name} must be a 1-d array of integer indices")
-            if np.any((idx < 0) | (idx >= n)):
-                raise RecoveryError(f"{name} has indices outside [0, {n})")
-            if np.unique(idx).size != idx.size:
-                raise RecoveryError(f"{name} repeats an index")
-            if seen[idx].any():
-                raise RecoveryError(f"{name} overlaps another partition")
-            seen[idx] = True
-            idx.flags.writeable = False
-            object.__setattr__(self, name, idx)
 
     @property
     def size(self) -> int:
@@ -134,10 +108,13 @@ class RecoveryConfig:
     cv_folds: int = 10
     lambda_grid_decades: float = 4.0
     lambda_grid_points: int = 25
-    validation_fraction: float = 0.2
+    validation_fraction: float = 0.2   # of the samples outside the test share
+    test_fraction: float = 0.0
     gramian: str = "diag_sup"     # diag_sup | h1
 
     def __post_init__(self):
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise RecoveryError("test_fraction must lie in [0, 1)")
         if self.algorithm not in ALGORITHMS:
             raise RecoveryError(f"unknown algorithm {self.algorithm!r}")
         if self.gramian not in GRAMIANS:
@@ -178,7 +155,7 @@ class RecoveryReport:
     rank_history: list            # ranks after every sweep
     lambdas: list                 # chosen penalty per microstep, per sweep
     best_sweep: int
-    test_error: float = None      # best iterate's on ``test_idx``; None if empty
+    test_error: float = None      # best iterate's on the test share; None if empty
     underdetermined: list = field(default_factory=list)
     aborted: str = None
 
@@ -447,17 +424,16 @@ def _initial_tt(dims, ranks, rng, scale: float) -> TensorTrain:
     return TensorTrain(tuple(comps))
 
 
-def _split_samples(samples: SampleSet, fraction: float, seed: int):
-    """The given training and validation partitions, or a seeded random
-    split of the samples outside the test partition."""
-    if samples.train_idx is not None:
-        return samples.train_idx, samples.val_idx
-    pool = np.arange(samples.size)
-    if samples.test_idx is not None:
-        pool = np.setdiff1d(pool, samples.test_idx)
-    perm = np.random.default_rng(seed).permutation(pool)
-    n_val = max(1, int(round(fraction * len(pool)))) if len(pool) > 1 else 0
-    return np.sort(perm[n_val:]), np.sort(perm[:n_val])
+def _split_samples(n: int, config: RecoveryConfig):
+    """``(train, val, test)`` sample indices, each sorted: the seeded
+    permutation of the ``n`` samples, cut into its first
+    ``round(test_fraction * n)`` for testing, the validation share of the
+    rest (at least one sample) next, and the remainder for training."""
+    perm = np.random.default_rng(config.seed).permutation(n)
+    n_test = int(round(config.test_fraction * n))
+    rest = perm[n_test:]
+    n_val = max(1, int(round(config.validation_fraction * len(rest))))
+    return np.sort(rest[n_val:]), np.sort(rest[:n_val]), np.sort(perm[:n_test])
 
 
 def recover(samples: SampleSet, config: RecoveryConfig,
@@ -479,13 +455,13 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     rng = np.random.default_rng(config.seed)
 
     T, microstep = _plan(config, basis)
-    train_idx, val_idx = _split_samples(samples, config.validation_fraction, config.seed)
+    train_idx, val_idx, test_idx = _split_samples(samples.size, config)
     if len(train_idx) == 0:
         raise RecoveryError("the sample split leaves no training samples")
     # a weightless partition would fit nothing, or score every sweep 0.0
     for name, idx in (("training", train_idx), ("validation", val_idx),
-                      ("test", samples.test_idx)):
-        if idx is not None and len(idx) and samples.weights[idx].sum() == 0.0:
+                      ("test", test_idx)):
+        if len(idx) and samples.weights[idx].sum() == 0.0:
             raise RecoveryError(f"the {name} partition has zero total weight")
     if config.algorithm != "als" and len(train_idx) < config.cv_folds:
         raise RecoveryError(f"{len(train_idx)} training samples are fewer than the "
@@ -537,7 +513,7 @@ def recover(samples: SampleSet, config: RecoveryConfig,
 
         pred = tt_evaluate_batch(tt, B)
         err_train = error(pred, train_idx)
-        err_val = error(pred, val_idx) if len(val_idx) else err_train
+        err_val = error(pred, val_idx)
         report.train_errors.append(err_train)
         report.val_errors.append(err_val)
         report.rank_history.append(tt.ranks)
@@ -547,8 +523,8 @@ def recover(samples: SampleSet, config: RecoveryConfig,
             best_err = err_val
             report.tt = tt
             report.best_sweep = sweep
-            if samples.test_idx is not None and len(samples.test_idx):
-                report.test_error = error(pred, samples.test_idx)
+            if len(test_idx):
+                report.test_error = error(pred, test_idx)
         if err_val <= marker_err * (1.0 - config.stop_tol):
             marker_err = err_val
             stall = 0

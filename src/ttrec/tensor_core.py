@@ -101,16 +101,14 @@ class TensorTrain:
         return self.lorth >= m and self.rorth <= m + 1
 
 
-def tt_random(dims, ranks, rng, normalize: bool = True) -> TensorTrain:
+def tt_random(dims, ranks, rng) -> TensorTrain:
     """Random TT with prescribed representation ranks; components unit-norm."""
     dims = tuple(int(n) for n in dims)
     full = (1,) + tuple(int(r) for r in ranks) + (1,)
     comps = []
     for m, n in enumerate(dims):
         c = rng.standard_normal((full[m], n, full[m + 1]))
-        if normalize:
-            c /= np.linalg.norm(c)
-        comps.append(c)
+        comps.append(c / np.linalg.norm(c))
     return TensorTrain(tuple(comps))
 
 

@@ -523,14 +523,13 @@ def legendre_weight_matrix(d: int) -> np.ndarray:
 
 
 def spectrum_experiment(d: int = 50, weight: str = "legendre",
-                        realizations: int = 100, seed: int = 0,
-                        tail_index: int | None = None) -> dict:
+                        realizations: int = 100, seed: int = 0) -> dict:
     """Singular values of Gaussian matrices and their weighted Hadamard
     products.
 
     Reports per-realization sorted spectra and the relative tail mass
-    beyond ``tail_index`` (default d // 2): weighted spectra decay faster,
-    so their tail-mass ratio against the plain spectra is below 1 for most
+    beyond index ``d // 2``: weighted spectra decay faster, so their
+    tail-mass ratio against the plain spectra is below 1 for most
     realizations.
     """
     if d < 1:
@@ -540,7 +539,7 @@ def spectrum_experiment(d: int = 50, weight: str = "legendre",
     _check_choice("weight rule", weight, WEIGHT_RULES)
     _check_seed(seed)
     W = legendre_weight_matrix(d) if weight == "legendre" else np.ones((d, d))
-    k = d // 2 if tail_index is None else int(tail_index)
+    k = d // 2
     rng = np.random.default_rng(seed)
     plain = np.empty((realizations, d))
     weighted = np.empty((realizations, d))

@@ -196,8 +196,7 @@ def test_criterion_6_in_class_recovery():
 def test_criterion_7_spectrum_experiment():
     """Weighted Gaussian spectra decay faster beyond index 25 at d=50."""
     from ttrec.uq_bench import spectrum_experiment
-    res = spectrum_experiment(d=50, weight="legendre", realizations=100,
-                              seed=300, tail_index=25)
+    res = spectrum_experiment(d=50, weight="legendre", realizations=100, seed=300)
     assert res["fraction_faster"] >= 0.9
     report(f"criterion 7 PASS: weighted tail mass smaller in "
            f"{res['fraction_faster']:.0%} of 100 realizations (>= 90%), "

@@ -182,6 +182,12 @@ def test_basis_is_a_kind_and_a_dimension():
             UnivariateBasis(kind, 0)
     with pytest.raises(BasisError, match="hermite dimension must be <= 171"):
         UnivariateBasis("hermite", 172)
+    # a float dimension would build and then fail in numpy at evaluation
+    for kind in ("legendre", "hermite"):
+        for bad, shown in ((2.5, "2.5"), (3.0, "3.0"), ("3", "'3'"), (True, "True")):
+            with pytest.raises(BasisError, match=f"^dimension must be an integer, got {shown}$"):
+                UnivariateBasis(kind, bad)
+        assert UnivariateBasis(kind, np.int64(3)).evaluate(np.zeros(2)).shape == (2, 3)
     assert UnivariateBasis("legendre", 172).sup_norms[-1] == np.sqrt(343.0)
 
 

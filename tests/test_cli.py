@@ -12,6 +12,7 @@ import ttrec
 from ttrec import uq_bench
 from ttrec.bases import legendre_basis
 from ttrec.cli import build_parser, main, read_sample_csv
+from ttrec.recovery import RecoveryConfig, _split_samples
 from ttrec.uq_bench import BenchmarkError, _qois
 
 
@@ -150,20 +151,11 @@ def test_recover_abort_after_a_sweep_writes_model_and_exits_1(tmp_path, capsys, 
     assert "internal error" not in err
 
 
-def cli_split(n, seed, test_fraction=0.1, validation_fraction=0.2):
-    """The (train, val, test) partitions ``ttrec recover`` draws for ``n``
-    samples from the config's seed and fractions."""
-    perm = np.random.default_rng(seed).permutation(n)
-    n_test = int(round(test_fraction * n))
-    rest = perm[n_test:]
-    n_val = max(1, int(round(validation_fraction * len(rest))))
-    return np.sort(rest[n_val:]), np.sort(rest[:n_val]), np.sort(perm[:n_test])
-
-
 def test_recover_model_is_in_the_config_basis(tmp_path, capsys):
     # r2als sweeps in a Gramian-orthonormal copy of the basis; the model file
-    # holds the library's train mapped back to the config's basis
-    from ttrec.recovery import RecoveryConfig, SampleSet, predict, recover
+    # holds the library's train mapped back to the config's basis, split
+    # alike with the command line's default test share
+    from ttrec.recovery import SampleSet, predict, recover
     from ttrec.tensor_core import load_tt
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, (120, 3))
@@ -176,9 +168,9 @@ def test_recover_model_is_in_the_config_basis(tmp_path, capsys):
     rc = main(["recover", "--config", str(write_config(tmp_path)), "--samples", str(samples),
                "--out", str(out)])
     assert rc == 0
-    train, val, test = cli_split(120, seed=1)
-    report = recover(SampleSet(pts, vals, train_idx=train, val_idx=val, test_idx=test),
-                     RecoveryConfig(algorithm="r2als", max_rank=2, max_sweeps=4, seed=1),
+    report = recover(SampleSet(pts, vals),
+                     RecoveryConfig(algorithm="r2als", max_rank=2, max_sweeps=4, seed=1,
+                                    test_fraction=0.1),
                      legendre_basis(5))
     model = load_tt(out)
     assert all(np.array_equal(a, b) for a, b in zip(model.components, report.tt.components))
@@ -200,7 +192,8 @@ def test_recover_overflowing_basis_values_abort(tmp_path, capsys, algorithm):
     # so the first microstep's design rows hold inf or NaN: every algorithm
     # aborts typed (als in its SVD, the others in the cross-validation Grams)
     samples = write_constant_fixture(tmp_path, n=60)
-    move_first_coordinate(samples, int(cli_split(60, seed=1)[0][0]), "1e100")
+    train = _split_samples(60, RecoveryConfig(seed=1, test_fraction=0.1))[0]
+    move_first_coordinate(samples, int(train[0]), "1e100")
     out = tmp_path / "m.tt"
     cfg = write_config(tmp_path, algorithm=algorithm, basis="hermite")
     with np.errstate(over="ignore", invalid="ignore"):

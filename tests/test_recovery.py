@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -87,10 +88,11 @@ def test_als_unchanged_by_power_of_two_weights():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, (60, 3))
     values = np.exp(pts.sum(axis=1))
-    cfg = RecoveryConfig(algorithm="als", max_rank=2, max_sweeps=6, seed=0)
-    reports = [recover(SampleSet(pts, values, np.full(60, 2.0 ** k),
-                                 test_idx=np.arange(50, 60)), cfg, legendre_basis(4))
+    cfg = RecoveryConfig(algorithm="als", max_rank=2, max_sweeps=6, seed=0,
+                         test_fraction=1 / 6)
+    reports = [recover(SampleSet(pts, values, np.full(60, 2.0 ** k)), cfg, legendre_basis(4))
                for k in (0, 200, -200, 600, -600)]
+    assert reports[0].test_error is not None
     assert reports[0].val_errors[-1] < 0.5    # not the zero model
     for report in reports[1:]:
         assert report.train_errors == reports[0].train_errors
@@ -549,10 +551,9 @@ def test_r2als_designs_on_the_basis_values_times_T(monkeypatch):
     basis = legendre_basis(4)
     rng = np.random.default_rng(37)
     pts = rng.uniform(-1, 1, (60, M))
-    train = np.arange(45)
-    samples = SampleSet(pts, np.exp(pts.sum(axis=1) / 3.0), train_idx=train,
-                        val_idx=np.arange(45, 60))
+    samples = SampleSet(pts, np.exp(pts.sum(axis=1) / 3.0))
     cfg = RecoveryConfig(algorithm="r2als", max_rank=2, max_sweeps=1, seed=0)
+    train = _split_samples(60, cfg)[0]
     assert recover(samples, cfg, basis).aborted is None
     T = gramian_orthonormalize(basis, diag_sup_gramian(basis))
     B = [(basis.evaluate(pts[:, m]) @ T)[train] for m in range(M)]
@@ -599,23 +600,26 @@ def test_zero_weight_partition_raises(algorithm):
     pts = rng.uniform(-1, 1, (60, 3))
     vals = np.exp(pts.sum(axis=1))
     cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=3, seed=0)
-    w = np.ones(60)
-    w[48:] = 0.0
-    held_out = np.arange(48, 60)
-    split = dict(train_idx=np.arange(48), val_idx=held_out)
+    tested = dataclasses.replace(cfg, test_fraction=0.2)
+    val = _split_samples(60, cfg)[1]
+    test = _split_samples(60, tested)[2]
+    w_val, w_test = np.ones(60), np.ones(60)
+    w_val[val] = 0.0
+    w_test[test] = 0.0
     with pytest.raises(RecoveryError, match="the validation partition has zero total weight"):
-        recover(SampleSet(pts, vals, w, **split), cfg, legendre_basis(4))
+        recover(SampleSet(pts, vals, w_val), cfg, legendre_basis(4))
     with pytest.raises(RecoveryError, match="the test partition has zero total weight"):
-        recover(SampleSet(pts, vals, w, test_idx=held_out), cfg, legendre_basis(4))
+        recover(SampleSet(pts, vals, w_test), tested, legendre_basis(4))
     with pytest.raises(RecoveryError, match="the training partition has zero total weight"):
         recover(SampleSet(pts, vals, np.zeros(60)), cfg, legendre_basis(4))
     # weight on a single held-out sample is enough; an empty test set reports none
-    w[50] = 1.0
-    report = recover(SampleSet(pts, vals, w, **split), cfg, legendre_basis(4))
+    w_val[val[0]] = 1.0
+    w_test[test[0]] = 1.0
+    report = recover(SampleSet(pts, vals, w_val), cfg, legendre_basis(4))
     assert report.aborted is None and min(report.val_errors) > 0.0
-    report = recover(SampleSet(pts, vals, w, test_idx=held_out), cfg, legendre_basis(4))
+    report = recover(SampleSet(pts, vals, w_test), tested, legendre_basis(4))
     assert report.aborted is None and report.test_error > 0.0
-    assert recover(SampleSet(pts, vals, test_idx=[]), cfg, legendre_basis(4)).test_error is None
+    assert recover(SampleSet(pts, vals), cfg, legendre_basis(4)).test_error is None
 
 
 @pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
@@ -627,10 +631,10 @@ def test_report_is_in_the_callers_basis(algorithm):
     basis = legendre_basis(4)
     pts = rng.uniform(-1, 1, (80, 3))
     vals = np.exp(pts.sum(axis=1) / 3.0)
-    train, val, test = np.arange(50), np.arange(50, 65), np.arange(65, 80)
-    samples = SampleSet(pts, vals, train_idx=train, val_idx=val, test_idx=test)
-    cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=3, seed=0)
-    report = recover(samples, cfg, basis)
+    cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=3, seed=0,
+                         test_fraction=15 / 80)
+    _, val, test = _split_samples(80, cfg)
+    report = recover(SampleSet(pts, vals), cfg, basis)
     assert report.basis is basis
     tpts = rng.uniform(-1, 1, (50, 3))
     np.testing.assert_allclose(predict(report.tt, basis, tpts), report.predict(tpts),
@@ -651,13 +655,16 @@ def test_points_outside_the_basis_domain_raise(algorithm):
     pts[3] = (1.0, -1.0, 0.0)           # the domain's ends are inside it
     vals = np.exp(pts.sum(axis=1) / 3.0)
     cfg = RecoveryConfig(algorithm=algorithm, max_rank=2, max_sweeps=2, seed=0)
-    for i, j, y in ((7, 1, 1.5), (59, 2, -1.0000000000000002), (0, 0, 1e30)):
+    # held-out samples are checked too
+    tested = dataclasses.replace(cfg, test_fraction=0.1)
+    test = _split_samples(60, tested)[2]
+    for i, j, y in ((test[0], 1, 1.5), (test[-1], 2, -1.0000000000000002), (0, 0, 1e30)):
         bad = pts.copy()
         bad[i, j] = y
         msg = (f"sample {i} (counting from 0) has y_{j + 1} = {y!r}, outside the "
                "legendre basis's domain [-1.0, 1.0]")
         with pytest.raises(RecoveryError, match=re.escape(msg)):
-            recover(SampleSet(bad, vals, test_idx=[i]), cfg, legendre_basis(4))
+            recover(SampleSet(bad, vals), tested, legendre_basis(4))
     assert recover(SampleSet(pts, vals), cfg, legendre_basis(4)).aborted is None
     pts[7, 1] = 1.5
     assert recover(SampleSet(pts, vals), cfg, hermite_basis(4)).aborted is None
@@ -681,34 +688,13 @@ def test_validation_split_respects_partitions():
     rng = np.random.default_rng(21)
     pts = rng.uniform(-1, 1, (50, 2))
     vals = rng.standard_normal(50)
-    samples = SampleSet(pts, vals, train_idx=np.arange(40), val_idx=np.arange(40, 50))
     cfg = RecoveryConfig(algorithm="als", max_rank=1, max_sweeps=3, seed=0)
-    report = recover(samples, cfg, legendre_basis(3))
+    report = recover(SampleSet(pts, vals), cfg, legendre_basis(3))
     # the best iterate's reported validation error matches a recomputation
-    # on the provided validation partition
-    recomputed = relative_error(report.predict(pts[40:]), vals[40:])
+    # on the validation partition of the split
+    val = _split_samples(50, cfg)[1]
+    recomputed = relative_error(report.predict(pts[val]), vals[val])
     assert np.isclose(report.val_errors[report.best_sweep], recomputed)
-
-
-def test_sample_partitions_validated():
-    rng = np.random.default_rng(29)
-    pts, vals = rng.uniform(-1, 1, (20, 2)), rng.standard_normal(20)
-    train, val = np.arange(15), np.arange(15, 20)
-    for kwargs, match in (
-            ({"train_idx": train}, "together"),
-            ({"val_idx": val, "test_idx": train}, "together"),
-            ({"train_idx": train.astype(float), "val_idx": val}, "integer"),
-            ({"test_idx": [True] * 20}, "integer"),
-            ({"train_idx": train, "val_idx": val, "test_idx": [20]}, "outside"),
-            ({"train_idx": train, "val_idx": [-1]}, "outside"),
-            ({"train_idx": train, "val_idx": [14, 15]}, "overlaps"),
-            ({"train_idx": train[:10], "val_idx": val, "test_idx": [9]}, "overlaps"),
-            ({"train_idx": [0, 0, 1, 2], "val_idx": [3]}, "train_idx repeats"),
-            ({"train_idx": train, "val_idx": [15], "test_idx": [17, 17]}, "test_idx repeats")):
-        with pytest.raises(RecoveryError, match=match):
-            SampleSet(pts, vals, **kwargs)
-    ok = SampleSet(pts, vals, train_idx=list(range(15)), val_idx=[], test_idx=val)
-    assert ok.val_idx.dtype.kind == "i" and ok.test_idx.tolist() == val.tolist()
 
 
 def test_sample_set_rejects_points_without_columns():
@@ -722,12 +708,10 @@ def test_sample_set_owns_its_arrays():
     rng = np.random.default_rng(31)
     base = rng.uniform(-1, 1, (21, 2))
     pts, vals, wts = base[1:], rng.standard_normal(20), np.ones(20)
-    train, val = np.arange(15), np.arange(15, 20)
-    s = SampleSet(pts, vals, wts, train_idx=train, val_idx=val)
-    kept = {name: getattr(s, name).copy()
-            for name in ("points", "values", "weights", "train_idx", "val_idx")}
-    for given, name in ((base, "points"), (vals, "values"), (wts, "weights"),
-                        (train, "train_idx"), (val, "val_idx")):
+    s = SampleSet(pts, vals, wts)
+    assert [f.name for f in dataclasses.fields(s)] == ["points", "values", "weights"]
+    kept = {name: getattr(s, name).copy() for name in ("points", "values", "weights")}
+    for given, name in ((base, "points"), (vals, "values"), (wts, "weights")):
         assert given.flags.writeable and not getattr(s, name).flags.writeable
         assert not np.shares_memory(given, getattr(s, name))
         given[...] = 7
@@ -736,17 +720,34 @@ def test_sample_set_owns_its_arrays():
 
 
 def test_random_split_keeps_test_samples_out():
-    rng = np.random.default_rng(30)
-    pts, vals = rng.uniform(-1, 1, (60, 2)), rng.standard_normal(60)
-    samples = SampleSet(pts, vals, test_idx=np.arange(0, 60, 3))
-    train, val = _split_samples(samples, 0.2, 0)
-    assert len(train) == 32 and len(val) == 8
-    assert not np.isin(np.concatenate([train, val]), samples.test_idx).any()
-    # without partitions: the seeded permutation of every sample, as before
+    train, val, test = _split_samples(60, RecoveryConfig(test_fraction=1 / 3))
+    assert len(train) == 32 and len(val) == 8 and len(test) == 20
+    assert not np.isin(np.concatenate([train, val]), test).any()
+    # without a test share: the seeded permutation of every sample, as before
     perm = np.random.default_rng(0).permutation(60)
-    train, val = _split_samples(SampleSet(pts, vals), 0.2, 0)
+    train, val, test = _split_samples(60, RecoveryConfig())
     assert np.array_equal(train, np.sort(perm[12:]))
     assert np.array_equal(val, np.sort(perm[:12]))
+    assert test.size == 0
+
+
+def test_split_is_one_seeded_permutation():
+    # test share first, the validation share of the rest next, training last
+    for n in range(1, 41):
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(n)
+            for tf in (0.0, 0.1, 0.3, 0.5, 0.95):
+                for vf in (0.0, 0.2, 0.9):
+                    cfg = RecoveryConfig(seed=seed, test_fraction=tf, validation_fraction=vf)
+                    parts = _split_samples(n, cfg)
+                    for part in parts:
+                        assert np.array_equal(part, np.sort(part))
+                    assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
+                    train, val, test = parts
+                    n_test = round(tf * n)
+                    assert np.array_equal(test, np.sort(perm[:n_test]))
+                    n_val = max(1, round(vf * (n - n_test)))
+                    assert np.array_equal(val, np.sort(perm[n_test:n_test + n_val]))
 
 
 def test_orthogonalization_preserves_function_in_sweeps():
@@ -804,6 +805,8 @@ def test_recover_rejects_empty_and_bad_config():
                 {"lambda_grid_points": 0}, {"lambda_grid_decades": 0.0},
                 {"lambda_grid_decades": -1.0}, {"validation_fraction": 1.2},
                 {"validation_fraction": 1.0}, {"validation_fraction": -0.1},
+                {"test_fraction": -0.1}, {"test_fraction": 1.0},
+                {"test_fraction": float("nan")},
                 {"gramian": "bogus", "algorithm": "als"},
                 {"gramian": "bogus", "algorithm": "als_l2"}):
         with pytest.raises(RecoveryError, match=next(iter(bad))):
@@ -815,10 +818,11 @@ def test_recover_rejects_empty_and_bad_config():
         with pytest.raises(RecoveryError, match="9 training samples .* 10 cross-validation"):
             recover(few, RecoveryConfig(algorithm=algorithm), legendre_basis(3))
     assert recover(few, RecoveryConfig(algorithm="als", max_sweeps=1), legendre_basis(3)).val_errors
-    held_out = SampleSet(few.points, few.values, train_idx=np.array([], int),
-                         val_idx=np.arange(11))
-    with pytest.raises(RecoveryError, match="no training samples"):
-        recover(held_out, RecoveryConfig(algorithm="als"), legendre_basis(3))
+    # a lone sample left after the test cut validates, leaving none to train
+    for samples, test_fraction in ((few, 0.95), (SampleSet(few.points[:1], few.values[:1]), 0.0)):
+        with pytest.raises(RecoveryError, match="the sample split leaves no training samples"):
+            recover(samples, RecoveryConfig(algorithm="als", test_fraction=test_fraction),
+                    legendre_basis(3))
 
 
 def test_config_rejects_patience_stop_tol_and_initial_rank_above_max():

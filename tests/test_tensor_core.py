@@ -83,7 +83,7 @@ def test_tt_to_dense_cap():
 
 def test_orthogonalize_preserves_and_grams():
     rng = np.random.default_rng(4)
-    tt = tt_random((4, 3, 5, 2), (3, 3, 3), rng, normalize=False)
+    tt = tt_random((4, 3, 5, 2), (3, 3, 3), rng)
     dense = tt_to_dense(tt)
     lo = left_orthogonalize(tt)
     assert np.linalg.norm(tt_to_dense(lo) - dense) <= 1e-12 * np.linalg.norm(dense)
