@@ -23,7 +23,7 @@ stable/unstable singular-value split, and advances the stacks one mode.
 The best-validation iterate is returned since the LASSO microsteps make
 the error sequences non-monotonic; the test error is that iterate's.
 Every penalty, and the full-data fit at it, comes from one k-fold driver,
-``sparse_solver.cross_validate``.
+``sparse_solver.cross_validate``; its ridge engine is ``_ridge_refits``.
 """
 from __future__ import annotations
 
@@ -206,41 +206,32 @@ def microstep_ls(A: np.ndarray, u: np.ndarray):
     return np.linalg.solve(G + RIDGE_RTOL * scale * np.eye(p), A.T @ u), 0.0
 
 
-def _ridge_fold_errors(G, b, lams, A, u, holds):
-    """(L, F) held-out errors of the folds' ridge fits and ``fit(k)``, the
-    full-data fit at ``lams[k]``, from one batched ``eigh`` of the F fold
-    Grams.
-
-    Every penalty of every fold is scored from its fold's eigenpairs; at
-    ``lam = 0`` the fold fit is the pseudo-inverse one, eigenvalues under
-    ``PINV_RTOL`` of the largest dropped, and the full-data fit is least
-    squares; a positive penalty's comes from ``eigh`` of all rows' Gram.
-    """
-    F = len(holds)
+def _ridge_refits(G, b, lams):
+    """The ridge engine of ``cross_validate``: row ``f L + l`` of ``R`` is
+    fold ``f``'s fit at ``lams[l]``, every one from one batched ``eigh`` of
+    the F fold Grams; at ``lam = 0`` the pseudo-inverse fit, eigenvalues
+    under ``PINV_RTOL`` of the largest dropped.  ``fit(k)`` comes from
+    ``eigh`` of all rows' Gram."""
+    F, L = len(G) - 1, len(lams)
     e, V = np.linalg.eigh(G[:F])
     e = np.maximum(e, 0.0)
     ef = e[:, None, :]
     dropped = (lams[:, None] == 0.0) & (ef <= PINV_RTOL * ef[:, :, -1:])   # (F, L, p)
     denom = np.where(dropped, np.inf, ef + lams[:, None])
     coeffs = (b[:F, None, :] @ V) / denom @ V.swapaxes(1, 2)
-    errors = np.empty((len(lams), F))
-    for f, hold in enumerate(holds):   # each fold's held-out rows by its own fits
-        resid = u[hold] - coeffs[f] @ A[hold].T
-        errors[:, f] = np.einsum("li,li->l", resid, resid) / len(hold)
+    grid = np.tile(np.arange(L), F)
 
     def fit(k):
-        if lams[k] == 0.0:
-            return np.linalg.lstsq(A, u, rcond=None)[0]
         e_all, V_all = np.linalg.eigh(G[-1])
         return V_all @ (V_all.T @ b[-1] / (np.maximum(e_all, 0.0) + lams[k]))
 
-    return errors, fit
+    return np.repeat(np.arange(F), L), grid, grid + 1, coeffs.reshape(F * L, -1), fit
 
 
 def microstep_l2(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
                  decades: float = 4.0, points: int = 25):
-    """Ridge microstep: the penalty cross-validated from one batched ``eigh``
-    of the fold Grams, and the full-data fit at it.
+    """Ridge microstep: ``cross_validate`` with ``_ridge_refits``, and the
+    full-data fit at the chosen penalty.
 
     Returns ``(v, lam)``; ties at the CV minimum go to the largest penalty,
     and the unpenalized fit is least squares.
@@ -249,7 +240,7 @@ def microstep_l2(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
     u = np.asarray(u, float)
     # unpenalized fit appended so noiseless in-class data can win exactly
     lams = np.append(lambda_grid(A, u, decades, points), 0.0)
-    cv = cross_validate(A, u, lams, folds, seed, _ridge_fold_errors)
+    cv = cross_validate(A, u, lams, folds, seed, _ridge_refits)
     return cv.fit, cv.chosen
 
 
@@ -440,8 +431,9 @@ def recover(samples: SampleSet, config: RecoveryConfig,
             basis: UnivariateBasis) -> RecoveryReport:
     """Run the configured sweep algorithm and return the best-validation
     iterate, in ``basis`` for every algorithm, with per-sweep diagnostics.
-    A point outside ``basis.domain`` raises ``RecoveryError``; a singular or
-    non-finite sweep ends the run, recorded in ``aborted``."""
+    A point outside ``basis.domain``, or one where a basis value is not
+    finite, raises ``RecoveryError``; a singular or non-finite sweep ends
+    the run, recorded in ``aborted``."""
     if samples.size == 0:
         raise RecoveryError("no samples")
     lo, hi = basis.domain   # a polynomial basis outside it takes any size
@@ -466,9 +458,16 @@ def recover(samples: SampleSet, config: RecoveryConfig,
     if config.algorithm != "als" and len(train_idx) < config.cv_folds:
         raise RecoveryError(f"{len(train_idx)} training samples are fewer than the "
                             f"{config.cv_folds} cross-validation folds")
-    B = [basis.evaluate(samples.points[:, m]) for m in range(M)]
-    if T is not None:   # r2als: the values of the g-orthonormal functions
-        B = [b @ T for b in B]
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        B = [basis.evaluate(samples.points[:, m]) for m in range(M)]
+        if T is not None:   # r2als: the values of the g-orthonormal functions
+            B = [b @ T for b in B]
+    finite = np.stack([np.isfinite(b).all(axis=1) for b in B], axis=1)   # (n, M)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise RecoveryError(f"sample {i} (counting from 0) has y_{j + 1} = "
+                            f"{float(samples.points[i, j])!r}, where the {basis.kind} "
+                            f"basis values are not finite")
     # the microsteps read only the training rows of the design
     B_train = [b[train_idx] for b in B]
     w_train = samples.weights[train_idx]

@@ -6,15 +6,16 @@ x - 2 b^T x + lam sum_k |x_k|``, and its minimizer is piecewise linear in
 ``lam``.  The homotopy (LARS-lasso) method of Osborne, Presnell & Turlach
 (2000) and Efron, Hastie, Johnstone & Tibshirani (2004) follows it from
 ``lam_max`` down, one active-set solve per breakpoint, so every path gets
-exact solutions and exact supports at its lambdas.  Cross-validation runs
-the folds' paths and the full-data path as one stack: one pass scores the
-folds and gives the fit at the chosen lambda.  ``lasso_solve`` is the same
-path on a stack of one.  Weights ``lam * ||omega (*) v||_1`` are a change of
-variables (Zou 2006): ``lasso_solve`` and the ``rals`` microstep solve on
-the rescaled columns ``A / omega`` and map back by ``v = x / omega``.  The
-KKT conditions certify optimality: ``|2 A_k^T (A v - y) + lam * omega_k *
-sign(v_k)| <= tol`` where ``v_k != 0``, else ``|2 A_k^T (A v - y)| <= lam *
-omega_k + tol``.
+exact solutions and exact supports at its lambdas.  ``cross_validate``,
+the k-fold driver of this LASSO and of the ``als_l2`` ridge, alone reads
+the held-out rows: an engine turns its stacked fold and full-data Grams
+into fits.  The LASSO engine ``_solve_path`` runs the paths as one stack;
+``lasso_solve`` is it on a stack of one.  Weights ``lam * ||omega (*)
+v||_1`` are a change of variables (Zou 2006): ``lasso_solve`` and the
+``rals`` microstep solve on the rescaled columns ``A / omega`` and map back
+by ``v = x / omega``.  The KKT conditions certify optimality: ``|2 A_k^T (A
+v - y) + lam * omega_k * sign(v_k)| <= tol`` where ``v_k != 0``, else ``|2
+A_k^T (A v - y)| <= lam * omega_k + tol``.
 """
 from __future__ import annotations
 
@@ -251,12 +252,9 @@ def kkt_residual(problem: LassoProblem, v: np.ndarray) -> float:
     return _kkt_from_gram(Gx, b, problem.lam * problem.omega / 2.0, v)
 
 
-def _certified(A, y, G, b, lam: float, x: np.ndarray) -> np.ndarray:
-    """``x``, the path's solution at ``lam`` (``G``, ``b`` are ``(A, y)``'s
-    Grams), checked by the KKT conditions: warns with the residual if they
-    are not met.  At ``lam = 0`` the least-squares solution instead."""
-    if lam == 0.0:
-        return np.linalg.lstsq(A, y, rcond=None)[0]
+def _certified(G, b, lam: float, x: np.ndarray) -> np.ndarray:
+    """``x``, the path's solution at ``lam > 0`` on the Grams ``G``, ``b``;
+    warns with the KKT residual if the conditions are not met."""
     # absolute 1e-8 on unit-scale data, relative guard for large magnitudes
     tol = max(KKT_TOL, 1e-12 * 2.0 * float(np.abs(b).max(initial=0.0)))
     res = _kkt_from_gram(G @ x, b, lam / 2.0, x)
@@ -267,20 +265,15 @@ def _certified(A, y, G, b, lam: float, x: np.ndarray) -> np.ndarray:
 
 
 def lasso_solve(problem: LassoProblem) -> np.ndarray:
-    """Minimizer of the weighted LASSO objective: the homotopy path on the
-    rescaled columns ``A / omega`` from ``lam_max`` stopped at ``problem.lam``,
-    a stack of one, mapped back by ``1 / omega``.  Certified by the KKT
-    conditions of the rescaled problem; warns with the residual if they are
-    not met.  ``lam = 0`` falls back to least squares on ``A``."""
+    """Minimizer of the weighted LASSO objective: ``_solve_path``'s fit on
+    the rescaled columns ``A / omega`` and the grid ``[lam]``, mapped back
+    by ``1 / omega``.  ``lam = 0`` falls back to least squares on ``A``."""
     A, y, lam, omega = problem.A, problem.y, problem.lam, problem.omega
     if lam == 0.0:
         return np.linalg.lstsq(A, y, rcond=None)[0]
     A = A / omega
-    G, b = A.T @ A, A.T @ y
-    x = np.zeros(A.shape[1])
-    for _, k, S, q, w, _, _ in _homotopy(G[None], b[None], np.array([lam])):
-        x[S[0, :k[0]]] = w[0, :k[0]] - lam * q[0, :k[0]]
-    return _certified(A, y, G, b, lam, x) / omega
+    *_, fit = _solve_path((A.T @ A)[None], (A.T @ y)[None], np.array([lam]))
+    return fit(0) / omega
 
 
 # ---------------------------------------------------------------------------
@@ -341,34 +334,16 @@ def debias_on_support(A, y, v):
     return out
 
 
-def _held_out_errors(A, y, rows, n_rows, S, w) -> np.ndarray:
-    """Mean squared held-out error of each refit ``w[i]`` on the columns
-    ``S[i]``, over the rows ``rows[i, :n_rows[i]]`` of ``(A, y)``; entries
-    of ``w`` past a support are zero, so their columns add nothing."""
-    r = y[rows] - np.matmul(A[rows[:, :, None], S[:, None, :]], w[:, :, None])[:, :, 0]
-    r[np.arange(rows.shape[1]) >= n_rows[:, None]] = 0.0
-    return np.einsum("ij,ij->i", r, r) / n_rows
-
-
-def _solve_path(G, b, lams, A, y, holds):
-    """Held-out errors (L, F) of the F folds and the full-data path (L, p).
-
-    Runs the exact paths on the stacked Grams ``(G, b)``, the folds' and
-    then all rows', and scores the least-squares refit of every segment of
-    fold ``f``'s path on its held-out rows ``holds[f]`` of ``(A, y)``, the
-    folds' segments of a step in one batch.  Consecutive segments differ by
-    one coordinate, so a support a path returns to is rare; it is scored
-    again.  The last problem's path gives the full-data solution at every
-    grid lambda.
-    """
-    F = len(holds)
-    n_rows = np.array([len(hold) for hold in holds])
-    rows = np.zeros((F, n_rows.max()), dtype=np.intp)   # padded rows are masked
-    for f, hold in enumerate(holds):
-        rows[f, :len(hold)] = hold
-    grid = np.arange(len(lams))
-    errors = np.empty((len(lams), F))
-    X = np.zeros((len(lams), A.shape[1]))
+def _solve_path(G, b, lams):
+    """The LASSO engine of ``cross_validate``: the exact paths on the
+    stacked Grams ``(G, b)``, the folds' and then all rows'.  Row ``i`` of
+    ``R`` is the least-squares refit on the support of a segment of fold
+    ``fold[i]``'s path that holds ``lams[lo[i]:hi[i]]``, one row per
+    segment, so a support a path returns to gets a row again.  The last
+    path gives ``fit(k)``, certified by ``_certified``."""
+    F, p = len(G) - 1, b.shape[1]
+    X = np.zeros((len(lams), p))
+    batches = []
     for f, k, S, q, w, lo, hi in _homotopy(G, b, lams):
         fold = f < F
         if not fold.all():      # the full-data segment, at most one per step
@@ -376,10 +351,11 @@ def _solve_path(G, b, lams, A, y, holds):
             a, z, ki = lo[i], hi[i], k[i]
             X[a:z, S[i, :ki]] = w[i, :ki] - lams[a:z, None] * q[i, :ki]
             f, S, w, lo, hi = f[fold], S[fold], w[fold], lo[fold], hi[fold]
-        err = _held_out_errors(A, y, rows[f], n_rows[f], S, w)
-        seg, at = np.nonzero((lo[:, None] <= grid) & (grid < hi[:, None]))
-        errors[at, f[seg]] = err[seg]
-    return errors, X
+        R = np.zeros((len(f), p))
+        R[np.arange(len(f))[:, None], S] = w   # w is zero past each support
+        batches.append((f, lo, hi, R))
+    fold, lo, hi, R = (np.concatenate(parts) for parts in zip(*batches))
+    return fold, lo, hi, R, lambda k: _certified(G[-1], b[-1], lams[k], X[k])
 
 
 def _fold_grams(A, y, holds):
@@ -399,37 +375,45 @@ def _fold_grams(A, y, holds):
     return G, b
 
 
-def cross_validate(A, y, lams, folds: int, seed: int, fold_errors) -> CvReport:
+def cross_validate(A, y, lams, folds: int, seed: int, engine) -> CvReport:
     """k-fold CV over the descending grid ``lams``, with the full-data fit in
-    the same stack.
+    the same stack; the one place that reads held-out rows.
 
-    ``fold_errors(G, b, lams, A, y, holds)`` gets the F fold Grams and then
-    all rows' and returns the (L, F) held-out errors of the folds' fits and
-    ``fit(k)``, the full-data fit at ``lams[k]``.  Among lambdas tying at
-    the minimum fold mean, the largest wins.  Non-finite Grams raise
-    ``SparseSolverError``."""
+    ``engine(G, b, lams)`` gets the F fold Grams and then all rows' and
+    returns ``(fold, lo, hi, R, fit)``: row ``i`` of ``R`` is a fit of fold
+    ``fold[i]`` at ``lams[lo[i]:hi[i]]``, each fold's rows covering the grid
+    once in order, scored by its mean squared error on the fold's held-out
+    rows; ``fit(k)`` is the full-data fit at ``lams[k] > 0``, and at ``lam =
+    0`` it is least squares.  Among lambdas tying at the minimum fold mean,
+    the largest wins.  Non-finite Grams raise ``SparseSolverError``."""
     holds = fold_indices(A.shape[0], folds, seed)
     G, b = _fold_grams(A, y, holds)
     if not (np.isfinite(G).all() and np.isfinite(b).all()):
         raise SparseSolverError("cross-validation Grams are not finite")
-    errors, fit = fold_errors(G, b, lams, A, y, holds)
+    fold, lo, hi, R, fit = engine(G, b, lams)
+    errors = np.empty((len(lams), len(holds)))
+    span = hi - lo
+    for f, hold in enumerate(holds):
+        mine = fold == f
+        resid = y[hold] - R[mine] @ A[hold].T
+        errors[:, f] = np.repeat(np.einsum("li,li->l", resid, resid) / len(hold), span[mine])
     mean_errors = errors.mean(axis=1)
     k = int(np.argmax(mean_errors <= mean_errors.min()))  # first = largest
-    return CvReport(lams, mean_errors, float(lams[k]), fit(k))
+    fit_k = fit(k) if lams[k] > 0.0 else np.linalg.lstsq(A, y, rcond=None)[0]
+    return CvReport(lams, mean_errors, float(lams[k]), fit_k)
 
 
 def cv_select_lambda(A, y, folds: int = 10, seed: int = 0,
                      decades: float = 4.0, points: int = 25) -> CvReport:
     """Pick the regularization strength by k-fold cross-validation and fit
-    the LASSO at it on all rows.
+    the LASSO at it on all rows: ``cross_validate`` with ``_solve_path``.
 
     The validation loss is the same squared empirical norm as the fit (the
     design rows already carry sqrt-weights).  The held-out error is always
     that of the least-squares refit on each path solution's support, so
     lambda purely selects the sparsity pattern.  Among lambdas tying at
-    the minimum, the largest (sparsest model) wins.  The refit is the
-    ``w`` of the path segment that holds the support, so each fold segment
-    is scored once and its held-out error holds for every lambda on it; a
+    the minimum, the largest (sparsest model) wins.  Each fold segment's
+    refit is scored once and its error holds for every lambda on it; a
     support a path leaves and returns to is scored again, which can move
     its error by rounding (about 1e-13 relative).  The full-data problem
     runs as one more path in the folds' stack; its solution at the chosen
@@ -437,9 +421,4 @@ def cv_select_lambda(A, y, folds: int = 10, seed: int = 0,
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
-
-    def lasso_fits(G, b, lams, A, y, holds):
-        errors, X = _solve_path(G, b, lams, A, y, holds)
-        return errors, lambda k: _certified(A, y, G[-1], b[-1], lams[k], X[k])
-
-    return cross_validate(A, y, lambda_grid(A, y, decades, points), folds, seed, lasso_fits)
+    return cross_validate(A, y, lambda_grid(A, y, decades, points), folds, seed, _solve_path)

@@ -9,7 +9,10 @@ independent LASSO engine whose cross-validated choices the path must
 reproduce; the reference ridge CV is the per-fold ``eigh`` and ``lstsq``
 loop that the batched fold-Gram scorer replaced; the reference diffusion
 solve is the sparse assembly and direct solve that the banded Cholesky
-solver replaced.
+solver replaced.  The gather scorers are cross-validation's held-out
+scoring as it was written inside each engine before ``cross_validate``
+took it over: the LASSO path's padded per-step gather and the ridge's
+per-fold loop.
 """
 import math
 
@@ -247,6 +250,82 @@ def reference_ridge_cv(A, u, folds=10, seed=0, decades=4.0, points=25):
     mean_errors = errors.mean(axis=1)
     lam = float(lams[np.argmax(mean_errors <= mean_errors.min())])
     return lams, mean_errors, lam
+
+
+def _held_out_errors(A, y, rows, n_rows, S, w) -> np.ndarray:
+    """Mean squared held-out error of each refit ``w[i]`` on the columns
+    ``S[i]``, over the rows ``rows[i, :n_rows[i]]`` of ``(A, y)``; entries
+    of ``w`` past a support are zero, so their columns add nothing."""
+    r = y[rows] - np.matmul(A[rows[:, :, None], S[:, None, :]], w[:, :, None])[:, :, 0]
+    r[np.arange(rows.shape[1]) >= n_rows[:, None]] = 0.0
+    return np.einsum("ij,ij->i", r, r) / n_rows
+
+
+def _gather_solve_path(G, b, lams, A, y, holds):
+    """Held-out errors (L, F) of the F folds and the full-data path (L, p).
+
+    Runs the exact paths on the stacked Grams ``(G, b)``, the folds' and
+    then all rows', and scores the least-squares refit of every segment of
+    fold ``f``'s path on its held-out rows ``holds[f]`` of ``(A, y)``, the
+    folds' segments of a step in one batch.  Consecutive segments differ by
+    one coordinate, so a support a path returns to is rare; it is scored
+    again.  The last problem's path gives the full-data solution at every
+    grid lambda.
+    """
+    from ttrec.sparse_solver import _homotopy
+    F = len(holds)
+    n_rows = np.array([len(hold) for hold in holds])
+    rows = np.zeros((F, n_rows.max()), dtype=np.intp)   # padded rows are masked
+    for f, hold in enumerate(holds):
+        rows[f, :len(hold)] = hold
+    grid = np.arange(len(lams))
+    errors = np.empty((len(lams), F))
+    X = np.zeros((len(lams), A.shape[1]))
+    for f, k, S, q, w, lo, hi in _homotopy(G, b, lams):
+        fold = f < F
+        if not fold.all():      # the full-data segment, at most one per step
+            i = np.flatnonzero(~fold)[0]
+            a, z, ki = lo[i], hi[i], k[i]
+            X[a:z, S[i, :ki]] = w[i, :ki] - lams[a:z, None] * q[i, :ki]
+            f, S, w, lo, hi = f[fold], S[fold], w[fold], lo[fold], hi[fold]
+        err = _held_out_errors(A, y, rows[f], n_rows[f], S, w)
+        seg, at = np.nonzero((lo[:, None] <= grid) & (grid < hi[:, None]))
+        errors[at, f[seg]] = err[seg]
+    return errors, X
+
+
+def _gather_ridge_errors(G, b, lams, A, u, holds):
+    """(L, F) held-out errors of the folds' ridge fits from one batched
+    ``eigh`` of the F fold Grams, each fold's held-out rows scored by its
+    own fits."""
+    from ttrec.recovery import PINV_RTOL
+    F = len(holds)
+    e, V = np.linalg.eigh(G[:F])
+    e = np.maximum(e, 0.0)
+    ef = e[:, None, :]
+    dropped = (lams[:, None] == 0.0) & (ef <= PINV_RTOL * ef[:, :, -1:])   # (F, L, p)
+    denom = np.where(dropped, np.inf, ef + lams[:, None])
+    coeffs = (b[:F, None, :] @ V) / denom @ V.swapaxes(1, 2)
+    errors = np.empty((len(lams), F))
+    for f, hold in enumerate(holds):   # each fold's held-out rows by its own fits
+        resid = u[hold] - coeffs[f] @ A[hold].T
+        errors[:, f] = np.einsum("li,li->l", resid, resid) / len(hold)
+    return errors
+
+
+def gather_cv_errors(A, y, lams, folds, seed, ridge=False):
+    """Mean held-out error per lambda and the chosen lambda (the largest at
+    the minimum), scored by the gather scorers above on the fold Grams of
+    ``sparse_solver._fold_grams``: the LASSO path's, or the ridge's."""
+    from ttrec.sparse_solver import _fold_grams, fold_indices
+    holds = fold_indices(A.shape[0], folds, seed)
+    G, b = _fold_grams(A, y, holds)
+    if ridge:
+        errors = _gather_ridge_errors(G, b, lams, A, y, holds)
+    else:
+        errors = _gather_solve_path(G, b, lams, A, y, holds)[0]
+    mean_errors = errors.mean(axis=1)
+    return mean_errors, float(lams[np.argmax(mean_errors <= mean_errors.min())])
 
 
 def reference_solve_diffusion(model_or_field, y=None, n=64, f=None):

@@ -188,23 +188,21 @@ def move_first_coordinate(samples, row, value):
 
 @pytest.mark.parametrize("algorithm", ["als", "als_l2", "rals", "r2als"])
 def test_recover_overflowing_basis_values_abort(tmp_path, capsys, algorithm):
-    # one training sample at y_1 = 1e100 overflows the Hermite basis values,
-    # so the first microstep's design rows hold inf or NaN: every algorithm
-    # aborts typed (als in its SVD, the others in the cross-validation Grams)
+    # one training sample at y_1 = 1e100 overflows the Hermite basis values:
+    # a data error, named before any sweep, with no numpy warning
     samples = write_constant_fixture(tmp_path, n=60)
-    train = _split_samples(60, RecoveryConfig(seed=1, test_fraction=0.1))[0]
-    move_first_coordinate(samples, int(train[0]), "1e100")
+    i = int(_split_samples(60, RecoveryConfig(seed=1, test_fraction=0.1))[0][0])
+    move_first_coordinate(samples, i, "1e100")
     out = tmp_path / "m.tt"
     cfg = write_config(tmp_path, algorithm=algorithm, basis="hermite")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
                    "--out", str(out)])
-    assert rc == 1 and not out.exists()
-    err = capsys.readouterr().err
-    reason = ("SVD did not converge" if algorithm == "als"
-              else "cross-validation Grams are not finite")
-    assert f"no sweep completed (aborted: sweep 0: {reason})" in err
-    assert "internal error" not in err
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == (f"error: sample {i} (counting from 0) has y_1 = "
+                                       "1e+100, where the hermite basis values are "
+                                       "not finite\n")
 
 
 def test_recover_point_outside_the_basis_domain_exits_2(tmp_path, capsys):

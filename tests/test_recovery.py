@@ -6,7 +6,7 @@ import pytest
 
 from ttrec.bases import diag_sup_gramian, gramian_orthonormalize, hermite_basis, legendre_basis
 from ttrec.recovery import (EIG_FLOOR, PINV_RTOL, RecoveryConfig, RecoveryError,
-                            SampleSet, _ridge_fold_errors, _split_samples,
+                            SampleSet, _ridge_refits, _split_samples,
                             local_gramian, microstep_l2, microstep_ls,
                             microstep_r2als, microstep_rals, predict,
                             rank_adapt, recover, relative_error)
@@ -179,7 +179,7 @@ def test_ridge_cv_matches_reference_fold_loop(kind):
     for seed in range(5):
         A, u = _ridge_problem(rng, kind)
         lams, ref_errors, ref_lam = reference_ridge_cv(A, u, 10, seed)
-        report = cross_validate(A, u, lams, 10, seed, _ridge_fold_errors)
+        report = cross_validate(A, u, lams, 10, seed, _ridge_refits)
         assert report.chosen == ref_lam
         v, lam = microstep_l2(A, u, 10, seed)
         assert lam == ref_lam
@@ -205,11 +205,20 @@ def test_ridge_cv_matches_reference_fold_loop(kind):
 def test_cv_ties_go_to_largest_lambda_in_both_cvs():
     rng = np.random.default_rng(10)
     A = rng.standard_normal((60, 8))
-    # the driver's rule, whatever the scorer: two minima, the first wins
-    errs = np.array([3.0, 1.0, 2.0, 1.0])[:, None] * np.ones((1, 5))
+    # the driver's rule, whatever the engine: on y = A[:, 0] the refit e_0
+    # scores exactly 0, at lams[1] and lams[3]; the first wins
     lams = np.array([8.0, 4.0, 2.0, 1.0])
-    assert cross_validate(A, A[:, 0], lams, 5, 0,
-                          lambda *args: (errs, lambda k: None)).chosen == 4.0
+    e_0 = np.eye(8)[0]
+
+    def engine(G, b, lams):
+        F = len(G) - 1
+        grid = np.tile(np.arange(4), F)
+        fits = np.tile([0.0 * e_0, e_0, 0.5 * e_0, e_0], (F, 1))
+        return np.repeat(np.arange(F), 4), grid, grid + 1, fits, lambda k: e_0
+
+    tied = cross_validate(A, A[:, 0], lams, 5, 0, engine)
+    assert tied.chosen == 4.0 and np.array_equal(tied.fit, e_0)
+    assert np.array_equal(np.flatnonzero(tied.mean_errors == 0.0), [1, 3])
     # LASSO: a noiseless one-sparse target refits exactly on {3} over most
     # of the grid, so those lambdas tie bit for bit
     truth = np.zeros(8)
@@ -218,7 +227,7 @@ def test_cv_ties_go_to_largest_lambda_in_both_cvs():
     best = np.flatnonzero(lasso.mean_errors == lasso.mean_errors.min())
     assert len(best) > 1 and lasso.chosen == lasso.lambdas[best[0]]
     # ridge: with a zero target every fold's fit is zero at every penalty
-    ridge = cross_validate(A, np.zeros(60), lams, 5, 0, _ridge_fold_errors)
+    ridge = cross_validate(A, np.zeros(60), lams, 5, 0, _ridge_refits)
     assert np.all(ridge.mean_errors == 0.0) and ridge.chosen == lams[0]
 
 

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from ttrec.bases import legendre_basis
+from ttrec.recovery import _ridge_refits
 from ttrec.sparse_solver import (KKT_TOL, ConvergenceWarning, CvReport,
-                                 LassoProblem, SparseSolverError,
+                                 LassoProblem, SparseSolverError, cross_validate,
                                  cv_select_lambda, debias_on_support,
                                  fold_indices, kkt_residual, lambda_grid,
                                  lasso_solve)
-from ttrec.sparse_solver import _fold_grams, _homotopy, _kkt_from_gram
+from ttrec.sparse_solver import _fold_grams, _homotopy, _kkt_from_gram, _solve
 
-from oracles import (lasso_objective, prox_gradient_lasso, reference_cd_gram,
-                     reference_cv_errors, soft_threshold)
+from oracles import (gather_cv_errors, lasso_objective, prox_gradient_lasso,
+                     reference_cd_gram, reference_cv_errors, soft_threshold)
 
 
 def test_problem_validation():
@@ -240,6 +241,34 @@ def test_fold_indices_drawn_once_and_read_only():
 def test_cv_report_invariant():
     with pytest.raises(SparseSolverError):
         CvReport(np.array([1.0, 0.1]), np.array([0.5, 0.1]), chosen=1.0)
+    with pytest.raises(SparseSolverError, match="grid and error lengths differ"):
+        CvReport(np.array([1.0, 0.1]), np.array([0.5, 0.1, 0.2]), chosen=1.0)
+    with pytest.raises(SparseSolverError, match="chosen lambda is not on the grid"):
+        CvReport(np.array([1.0, 0.1]), np.array([0.5, 0.1]), chosen=0.5)
+
+
+def test_cross_validate_rejects_non_finite_grams():
+    # A^T A overflows: the driver raises before any engine runs
+    A = np.full((20, 3), 1e200)
+
+    def engine(G, b, lams):
+        raise AssertionError("the engine ran on non-finite Grams")
+
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SparseSolverError, match="cross-validation Grams are not finite"):
+        cross_validate(A, np.ones(20), np.array([1.0]), 5, 0, engine)
+
+
+def test_solve_falls_back_to_minimum_norm_on_a_singular_stack():
+    rng = np.random.default_rng(23)
+    M = rng.standard_normal((3, 4, 4))
+    M[1, 2, :] = M[1, :, 2] = 0.0      # exactly singular
+    rhs = rng.standard_normal((3, 4, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(M, rhs)
+    x = _solve(M, rhs)
+    for Mf, r, xf in zip(M, rhs, x):
+        assert np.array_equal(xf, np.linalg.lstsq(Mf, r, rcond=None)[0])
 
 
 def test_cv_tie_break_prefers_largest_lambda():
@@ -414,15 +443,15 @@ def test_fold_grams_stack_folds_then_all_rows():
 
 def test_cv_scores_each_fold_segment_once(monkeypatch):
     import ttrec.sparse_solver as sp
-    held_out_errors = sp._held_out_errors
-    scores = []
+    solve_path = sp._solve_path
+    refits = []
 
-    def recording(A, y, rows, n_rows, S, w):
-        errs = held_out_errors(A, y, rows, n_rows, S, w)
-        scores.extend(errs)             # one per fold segment scored
-        return errs
+    def recording(G, b, lams):
+        out = solve_path(G, b, lams)
+        refits.append(out)              # one refit row per fold segment
+        return out
 
-    monkeypatch.setattr(sp, "_held_out_errors", recording)
+    monkeypatch.setattr(sp, "_solve_path", recording)
     revisits = 0
     for seed, n, p in ((17, 60, 10), (0, 30, 20)):
         A, y, G, b = _fold_problem(np.random.default_rng(seed), n, p, 5)
@@ -440,9 +469,16 @@ def test_cv_scores_each_fold_segment_once(monkeypatch):
         revisits += len(segments) - len(supports)
         # the path starts from the empty support at the largest lambdas
         assert (0, b"") in supports
-        scores.clear()
+        refits.clear()
         cv_select_lambda(A, y, folds=5, seed=0)
-        assert len(scores) == len(segments)
+        (fold, lo, hi, R, _), = refits
+        assert len(R) == len(segments)
+        assert np.array_equal(fold, [f for f, *_ in segments])
+        # each row's held-out error, as cross_validate scores it
+        scores = np.empty(len(R))
+        for f, hold in enumerate(fold_indices(n, 5, 0)):
+            r = y[hold] - R[fold == f] @ A[hold].T
+            scores[fold == f] = np.einsum("li,li->l", r, r) / len(hold)
         # a support a path returns to scores as on its first visit, up to
         # the rounding of a refit whose coordinates joined in another order
         first = {}
@@ -451,6 +487,32 @@ def test_cv_scores_each_fold_segment_once(monkeypatch):
             assert abs(err - ref) <= 1e-12 * abs(ref)
     # some path leaves a support and later returns to it
     assert revisits > 0
+
+
+def test_cv_scoring_matches_the_gather_scorers():
+    """The driver scores full-length fits on each fold's held-out rows; the
+    gather scorers scored each engine's fits on their own (tests/oracles.py).
+    Fold rows above and below p, duplicate and zero columns."""
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for i in range(200):
+        n, p, folds = int(rng.integers(10, 60)), int(rng.integers(2, 30)), int(rng.integers(2, 8))
+        A = rng.standard_normal((n, p))
+        if i % 3 == 1 and p >= 3:     # a duplicate, possibly scaled
+            A[:, 0] = A[:, 1] * rng.choice([1.0, -2.0])
+        elif i % 3 == 2:              # a zero column
+            A[:, p - 1] = 0.0
+        y = A[:, :2] @ np.array([1.0, -0.5]) + 0.1 * rng.standard_normal(n)
+        seed = int(rng.integers(100))
+        lasso = cv_select_lambda(A, y, folds=folds, seed=seed)
+        ref, chosen = gather_cv_errors(A, y, lasso.lambdas, folds, seed)
+        worst = max(worst, (np.abs(lasso.mean_errors - ref) / ref).max())
+        assert lasso.chosen == chosen
+        lams = np.append(lambda_grid(A, y), 0.0)
+        ridge = cross_validate(A, y, lams, folds, seed, _ridge_refits)
+        ref, chosen = gather_cv_errors(A, y, lams, folds, seed, ridge=True)
+        assert np.array_equal(ridge.mean_errors, ref) and ridge.chosen == chosen
+    assert worst <= 1e-11
 
 
 def test_path_stress_degenerate_problems():
