@@ -4,7 +4,9 @@ A basis is a reference orthonormal family and a dimension: normalized
 Legendre on [-1, 1] with the uniform probability measure, or normalized
 probabilists' Hermite under the standard normal.  A Gramian-orthonormal
 change of basis is the matrix ``T`` from ``gramian_orthonormalize``; the new
-functions' values are ``basis.evaluate(x) @ T``.
+functions' values are ``basis.evaluate(x) @ T``.  Gram matrices are
+integrated on 4 d Gauss nodes of the basis measure: ``UnivariateBasis.gram``
+is the L2 one, and ``h1_gramian`` adds the derivatives' Gram matrix to it.
 """
 from __future__ import annotations
 
@@ -119,9 +121,9 @@ class UnivariateBasis:
         x, w = npherm.hermegauss(nodes)
         return x, w / np.sqrt(2.0 * np.pi)
 
-    def gram(self, nodes: int | None = None) -> np.ndarray:
-        """L2 Gram matrix under Gauss quadrature (identity for o.n. bases)."""
-        x, w = self.quadrature(nodes or 4 * self.dimension)
+    def gram(self) -> np.ndarray:
+        """L2 Gram matrix on 4 d Gauss nodes (identity for o.n. bases)."""
+        x, w = self.quadrature(4 * self.dimension)
         B = self.evaluate(x)
         return B.T @ (w[:, None] * B)
 
@@ -155,14 +157,14 @@ def diag_sup_gramian(basis: UnivariateBasis) -> Gramian:
 
 
 def h1_gramian(basis: UnivariateBasis) -> Gramian:
-    """Sobolev-style Gramian ``g_ij = int (b_i b_j + b_i' b_j') drho`` on 4 d Gauss nodes."""
+    """Sobolev-style Gramian ``g_ij = int (b_i b_j + b_i' b_j') drho``: the
+    L2 Gram matrix plus the derivatives' Gram matrix, both on 4 d Gauss nodes."""
     # a rule too large for floats (Hermite, d = 100) overflows; Gramian
     # rejects the non-finite result
     with np.errstate(all="ignore"):
         x, w = basis.quadrature(4 * basis.dimension)
-        B = basis.evaluate(x)
         dB = basis.evaluate_deriv(x)
-        g = B.T @ (w[:, None] * B) + dB.T @ (w[:, None] * dB)
+        g = basis.gram() + dB.T @ (w[:, None] * dB)
     return Gramian(g, "h1")
 
 

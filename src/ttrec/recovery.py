@@ -273,7 +273,8 @@ def local_gramian(tt: TensorTrain, m: int, g) -> np.ndarray:
             raise RecoveryError("right interface Gramian vanished")
         Rg /= mx
         log_scale += np.log(mx)
-    factor = np.exp(log_scale)
+    with np.errstate(over="ignore"):
+        factor = np.exp(log_scale)
     if not np.isfinite(factor):
         raise RecoveryError(f"local Gramian scale overflows (log-scale {log_scale:.1f})")
     H = np.kron(Lg, np.kron(g, Rg)) * factor

@@ -4,7 +4,8 @@ A tensor train (TT) stores an order-M coefficient tensor as a chain of order-3
 components ``V_m`` of shape ``(r_{m-1}, n_m, r_m)`` with boundary ranks
 ``r_0 = r_M = 1``.  All multi-index linearizations are row-major (C order),
 which fixes the index bijection used by :func:`design_matrix` and
-:func:`save_tt`.
+:func:`save_tt`.  :func:`tt_svd` decomposes a dense tensor exactly, and
+:func:`tt_to_dense` contracts a train of at most ``DENSIFY_CAP`` entries.
 
 The per-sample contractions live in :class:`InterfaceStacks`, which a sweep
 advances one mode per microstep; :func:`design_matrix` reads its rows and
@@ -81,14 +82,6 @@ class TensorTrain:
         """Representation ranks ``(r_1, ..., r_{M-1})``."""
         return tuple(c.shape[2] for c in self.components[:-1])
 
-    def norm(self) -> float:
-        """Frobenius norm of the represented tensor."""
-        # gram of the chain, independent of orthogonality state
-        g = np.ones((1, 1))
-        for c in self.components:
-            g = np.einsum("lk,ler,kes->rs", g, c, c)
-        return float(np.sqrt(max(g[0, 0], 0.0)))
-
     def with_component(self, m: int, comp: np.ndarray) -> "TensorTrain":
         comp = np.asarray(comp, dtype=float)
         comps = list(self.components)
@@ -112,50 +105,28 @@ def tt_random(dims, ranks, rng) -> TensorTrain:
     return TensorTrain(tuple(comps))
 
 
-def _rank_from_tail(s: np.ndarray, tol_abs: float, max_rank=None) -> int:
-    if s.size == 0:
-        return 1
-    keep = s > EXACT_RANK_RTOL * s[0]
-    r = max(int(np.count_nonzero(keep)), 1)
-    if tol_abs > 0:
-        tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[i] = ||s[i:]||
-        fits = np.nonzero(tail <= tol_abs)[0]
-        if fits.size:
-            r = min(r, max(int(fits[0]), 1))
-    if max_rank is not None:
-        r = min(r, int(max_rank))
-    return r
+def tt_svd(t: np.ndarray) -> TensorTrain:
+    """Decompose a dense tensor exactly by successive thin SVDs.
 
-
-def tt_svd(t: np.ndarray, max_rank=None, tol: float = 0.0) -> TensorTrain:
-    """Decompose a dense tensor by successive thin SVDs.
-
-    The result reconstructs ``t`` with relative Frobenius error at most
-    ``tol`` (when ``max_rank`` is not binding) and is left-orthogonal up to
-    the last component.  Singular values below ``1e-14`` relative are always
-    dropped.  An all-zero tensor yields the rank-one zero train.
+    Singular values at most ``EXACT_RANK_RTOL`` relative to the largest are
+    dropped; the result is left-orthogonal up to the last component.  An
+    all-zero tensor yields the rank-one zero train.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim < 1 or t.size == 0:
         raise TensorTrainError("tt_svd needs a nonempty tensor with dims >= 1")
-    if max_rank is not None and max_rank < 1:
-        raise TensorTrainError("max_rank must be >= 1")
-    if tol < 0:
-        raise TensorTrainError("tol must be nonnegative")
     dims = t.shape
     M = t.ndim
-    norm = float(np.linalg.norm(t))
-    if norm == 0.0:
+    if not t.any():
         comps = [np.zeros((1, n, 1)) for n in dims]
         return TensorTrain(tuple(comps), lorth=M - 1)
-    tol_abs = tol * norm / np.sqrt(max(M - 1, 1))
     comps = []
     carry = t.reshape(1, -1)
     r_prev = 1
     for k in range(M - 1):
         mat = carry.reshape(r_prev * dims[k], -1)
         U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-        r = _rank_from_tail(s, tol_abs, max_rank)
+        r = max(int(np.count_nonzero(s > EXACT_RANK_RTOL * s[0])), 1)
         comps.append(U[:, :r].reshape(r_prev, dims[k], r))
         carry = s[:r, None] * Vt[:r]
         r_prev = r
@@ -163,11 +134,11 @@ def tt_svd(t: np.ndarray, max_rank=None, tol: float = 0.0) -> TensorTrain:
     return TensorTrain(tuple(comps), lorth=M - 1)
 
 
-def tt_to_dense(tt: TensorTrain, cap: int = DENSIFY_CAP) -> np.ndarray:
+def tt_to_dense(tt: TensorTrain) -> np.ndarray:
     """Contract the chain into a dense array (row-major multi-index order)."""
     total = int(np.prod(tt.dims, dtype=np.int64))
-    if total > cap:
-        raise TensorTrainError(f"dense tensor would have {total} entries (cap {cap})")
+    if total > DENSIFY_CAP:
+        raise TensorTrainError(f"dense tensor would have {total} entries (cap {DENSIFY_CAP})")
     arr = tt.components[0].reshape(tt.dims[0], -1)
     for c in tt.components[1:]:
         r = c.shape[0]
@@ -209,29 +180,6 @@ def canonicalize(tt: TensorTrain, m: int) -> TensorTrain:
     if not 0 <= m < tt.order:
         raise TensorTrainError(f"mode {m} out of range for order {tt.order}")
     return _left_qr(right_orthogonalize(tt), m)
-
-
-def tt_rank(tt: TensorTrain) -> tuple:
-    """Minimal ranks after exact truncation (relative threshold 1e-14).
-
-    The zero tensor reports all ranks 1 by convention.
-    """
-    M = tt.order
-    if M == 1:
-        return ()
-    if tt.norm() == 0.0:
-        return (1,) * (M - 1)
-    work = left_orthogonalize(tt)
-    comps = list(work.components)
-    ranks = []
-    for k in range(M - 1, 0, -1):
-        rl, n, rr = comps[k].shape
-        U, s, Vt = np.linalg.svd(comps[k].reshape(rl, n * rr), full_matrices=False)
-        r = max(int(np.count_nonzero(s > EXACT_RANK_RTOL * s[0])), 1)
-        ranks.append(r)
-        comps[k] = Vt[:r].reshape(r, n, rr)
-        comps[k - 1] = np.tensordot(comps[k - 1], U[:, :r] * s[:r], axes=(2, 0))
-    return tuple(reversed(ranks))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 The variation function of a model class assigns to every point the largest
 squared value attained there by a norm-one element of the class.  For a
 linear span with an L2-orthonormal basis it is the pointwise sum of squares
-of the basis functions; direct sums add, tensor products multiply.
+of the basis functions; direct sums add, tensor products multiply.  The
+local space of a microstep on a train canonical at its mode has the design
+rows as such a basis, so its variation is their sum of squares.
 Everything here is evaluated on grids or sample clouds, never symbolically:
 sup-norms are grid maxima.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import TensorTrain, fixed_interface
+from .tensor_core import TensorTrain, design_matrix, fixed_interface
 
 
 class VariationError(ValueError):
@@ -57,9 +59,9 @@ class VariationGrid:
         return float(self.quad_weights @ self.values)
 
 
-def uniform_grid(n: int, lo: float = -1.0, hi: float = 1.0):
-    """Uniform grid including endpoints, with trapezoid probability weights."""
-    pts = np.linspace(lo, hi, n)
+def uniform_grid(n: int):
+    """Uniform grid on [-1, 1] with endpoints and trapezoid probability weights."""
+    pts = np.linspace(-1.0, 1.0, n)
     q = np.full(n, 1.0 / (n - 1))
     q[0] *= 0.5
     q[-1] *= 0.5
@@ -105,10 +107,6 @@ class LocalVariationEstimate:
     """Grid estimate of the local variation constant around the all-ones
     rank-1 matrix, normalized so that the ambient value is d1*d2."""
 
-    d1: int
-    d2: int
-    radius: float
-    grid_size: int
     value: float
     table: np.ndarray  # (m, m) cell values, NaN where infeasible
 
@@ -171,7 +169,7 @@ def local_variation_rank1(d1: int, d2: int, r: float, m: int) -> LocalVariationE
     if np.all(np.isnan(K)):
         raise VariationError("no feasible cell on the grid")
     value = float(np.nanmax(K))
-    return LocalVariationEstimate(d1, d2, float(r), m, value, K)
+    return LocalVariationEstimate(value, K)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +179,9 @@ def local_variation_rank1(d1: int, d2: int, r: float, m: int) -> LocalVariationE
 def microstep_variation(tt: TensorTrain, m: int, basis, points) -> VariationGrid:
     """Variation function of the local model space of a mode-``m`` microstep.
 
-    With orthogonal interfaces the local basis is orthonormal and its sum of
-    squares factorizes into left-interface, univariate, and right-interface
-    contributions; ``points`` is an (n, M) cloud in parameter space.
+    With the train canonical at ``m`` the microstep's design rows are the
+    values of an L2-orthonormal basis of the local space, so the variation is
+    their sum of squares; ``points`` is an (n, M) cloud in parameter space.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -193,8 +191,4 @@ def microstep_variation(tt: TensorTrain, m: int, basis, points) -> VariationGrid
             f"points have {pts.shape[1]} coordinates, train has order {tt.order}")
     # raises on marker violation
     stacks = fixed_interface(tt, m, [basis.evaluate(pts[:, k]) for k in range(tt.order)])
-    L, bm, R = stacks.left, stacks.basis_values[m], stacks.right
-    vals = (np.einsum("nl,nl->n", L, L)
-            * np.einsum("ne,ne->n", bm, bm)
-            * np.einsum("nr,nr->n", R, R))
-    return VariationGrid(pts, vals)
+    return variation_of_span(design_matrix(stacks), pts)

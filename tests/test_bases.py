@@ -103,6 +103,10 @@ def test_gramian_rejects_bad_matrices():
         Gramian(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(BasisError, match=r"gramian has non-finite entries \(h1\)"):
         Gramian(np.array([[1.0, np.nan], [np.nan, 1.0]]), "h1")
+    with pytest.raises(BasisError, match="gramian must be square"):
+        Gramian(np.ones((2, 3)))
+    with pytest.raises(BasisError, match="gramian dimension does not match basis"):
+        gramian_orthonormalize(legendre_basis(3), Gramian(np.eye(4)))
 
 
 def test_hermite_basis_past_int64_factorials():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ttrec
-from ttrec import uq_bench
+from ttrec import cli, uq_bench
 from ttrec.bases import legendre_basis
 from ttrec.cli import build_parser, main, read_sample_csv
 from ttrec.recovery import RecoveryConfig, _split_samples
@@ -69,6 +69,15 @@ def test_recover_malformed_row_exit_2(tmp_path, capsys):
                    "--out", str(tmp_path / "m.tt")])
         assert rc == 2
         assert message in capsys.readouterr().err
+    # a whole file that holds no samples
+    for text, message in (("y_1,v\n0.1,1.0\n", "header must be y_1..y_M,u[,w], got ['y_1', 'v']"),
+                          ("", "empty file"), ("# a comment\ny_1,y_2,u\n", "no sample rows")):
+        samples.write_text(text)
+        rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+                   "--out", str(tmp_path / "m.tt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {samples}: {message}\n"
+    assert not (tmp_path / "m.tt").exists()
 
 
 def test_recover_bad_sample_values_exit_2(tmp_path, capsys):
@@ -358,6 +367,18 @@ def test_bad_config_key_exit_2(tmp_path, capsys):
                "--out", str(tmp_path / "m.tt")])
     assert rc == 2
     assert "wibble" in capsys.readouterr().err
+    missing = tmp_path / "nope.cfg"
+    for text, path, message in (
+            ("[recovery]\nalgorithm\n", cfg, f"Source contains parsing errors: '{cfg}'"),
+            (None, missing, f"cannot read config file {missing}"),
+            ("[other]\nalgorithm = r2als\n", cfg, f"{cfg}: missing [recovery] section")):
+        if text is not None:
+            path.write_text(text)
+        rc = main(["recover", "--config", str(path), "--samples", str(samples),
+                   "--out", str(tmp_path / "m.tt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "m.tt").exists()
 
 
 @pytest.mark.parametrize("target", ["missing/out", "taken"])
@@ -507,6 +528,9 @@ def test_phase_diagram_bad_count_exit_2(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     assert "internal error" not in capsys.readouterr().err
+    rc = main(["phase-diagram", "--orders", "2,x", "--counts", "30", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: bad list argument: '2,x'\n"
     assert not out.exists()
 
 
@@ -557,6 +581,20 @@ def test_phase_diagram_subcommand(tmp_path):
     assert (order, count) == ("2", "40")
     assert float(err) < 1.0
     assert svg.exists()
+
+
+def test_phase_diagram_svg_draws_nan_cells_grey(tmp_path, monkeypatch):
+    # a cell without a finite mean error is grey; the finite ones are shaded
+    monkeypatch.setattr(cli, "phase_diagram",
+                        lambda orders, counts, **kwargs: np.array([[0.1, np.nan]]))
+    out, svg = tmp_path / "phase.csv", tmp_path / "phase.svg"
+    rc = main(["phase-diagram", "--orders", "2", "--counts", "30,60",
+               "--out", str(out), "--svg", str(svg)])
+    assert rc == 0
+    assert out.read_text().splitlines()[-1] == "2,60,nan"
+    cells = [line for line in svg.read_text().splitlines() if 'width="40"' in line]
+    assert len(cells) == 2
+    assert 'fill="#bbbbbb"' not in cells[0] and 'fill="#bbbbbb"' in cells[1]
 
 
 def test_reproducible_outputs(tmp_path):

@@ -249,6 +249,20 @@ def test_local_gramian_two_mode_diagonal():
     assert np.abs(H - np.diag(np.diag(H))).max() <= 1e-12
 
 
+def test_local_gramian_rejects_bad_input():
+    rng = np.random.default_rng(9)
+    tt = tt_random((3, 3, 3), (2, 2), rng)
+    with pytest.raises(RecoveryError, match="train is not canonical at mode 1"):
+        local_gramian(tt, 1, np.eye(3))
+    # a zero metric empties the first interface pushed: the left one unless
+    # the core is the first mode
+    for m, side in ((1, "left"), (0, "right")):
+        with pytest.raises(RecoveryError, match=f"{side} interface Gramian vanished"):
+            local_gramian(canonicalize(tt, m), m, np.zeros((3, 3)))
+    with pytest.raises(RecoveryError, match="local Gramian scale overflows"):
+        local_gramian(canonicalize(tt, 1), 1, 1e200 * np.eye(3))
+
+
 def test_local_gramian_symmetric():
     rng = np.random.default_rng(8)
     tt = canonicalize(tt_random((4, 4, 4, 4), (3, 2, 3), rng), 2)
@@ -440,6 +454,8 @@ def test_rank_adapt_requires_canonical_form():
     tt = tt_random((4, 4, 4), (2, 2), rng)
     with pytest.raises(RecoveryError):
         rank_adapt(tt, 1, 0.1, 1, max_rank=3, rng=rng)
+    with pytest.raises(RecoveryError, match="no bond to adapt right of the last mode"):
+        rank_adapt(canonicalize(tt, 2), 2, 0.1, 1, max_rank=3, rng=rng)
 
 
 def test_rank_adapt_synthetic_rank2_settles_at_three():
@@ -709,6 +725,8 @@ def test_validation_split_respects_partitions():
 def test_sample_set_rejects_points_without_columns():
     with pytest.raises(RecoveryError, match="no parameter columns"):
         SampleSet(np.empty((5, 0)), np.ones(5))
+    with pytest.raises(RecoveryError, match="values length does not match points"):
+        SampleSet(np.ones((5, 2)), np.ones(4))
 
 
 def test_sample_set_owns_its_arrays():
@@ -817,7 +835,7 @@ def test_recover_rejects_empty_and_bad_config():
                 {"test_fraction": -0.1}, {"test_fraction": 1.0},
                 {"test_fraction": float("nan")},
                 {"gramian": "bogus", "algorithm": "als"},
-                {"gramian": "bogus", "algorithm": "als_l2"}):
+                {"gramian": "bogus", "algorithm": "als_l2"}, {"buffer": -1}):
         with pytest.raises(RecoveryError, match=next(iter(bad))):
             RecoveryConfig(**bad)
     # 11 samples leave 9 training rows: too few for 10-fold CV, fine for als

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from ttrec import tensor_core
 from ttrec.tensor_core import (TensorTrain, TensorTrainError, canonicalize,
                                design_matrix, fixed_interface,
                                left_orthogonalize, load_tt, right_orthogonalize,
-                               save_tt, tt_evaluate_batch,
-                               tt_random, tt_rank, tt_svd, tt_to_dense)
+                               save_tt, tt_evaluate_batch, tt_from_json,
+                               tt_random, tt_svd, tt_to_dense, tt_to_json)
 
 from oracles import dense_embedding, unfolding_ranks
 
@@ -33,7 +34,7 @@ def test_tt_svd_rank1_outer_product():
 def test_tt_svd_exact_roundtrip():
     rng = np.random.default_rng(1)
     t = rng.standard_normal((4, 4, 4))
-    tt = tt_svd(t, max_rank=64, tol=0.0)
+    tt = tt_svd(t)
     assert np.linalg.norm(tt_to_dense(tt) - t) <= 1e-12 * np.linalg.norm(t)
 
 
@@ -45,26 +46,61 @@ def test_tt_svd_sum_of_two_rank1():
     assert unfolding_ranks(t) == (2, 2)
 
 
-def test_tt_svd_truncation_budget():
-    rng = np.random.default_rng(3)
-    t = rng.standard_normal((6, 6, 6))
-    for tol in (1e-1, 1e-2):
-        tt = tt_svd(t, tol=tol)
-        err = np.linalg.norm(tt_to_dense(tt) - t) / np.linalg.norm(t)
-        assert err <= tol
-
-
 def test_tt_svd_rejects_bad_input():
     with pytest.raises(TensorTrainError):
         tt_svd(np.empty(0))
-    with pytest.raises(TensorTrainError):
-        tt_svd(np.ones((2, 2)), max_rank=0)
+
+
+def test_tt_svd_roundtrips_tiny_and_huge_tensors():
+    # the Frobenius norm of these tensors underflows to 0 (1e-170) or
+    # overflows (1e160); neither may turn them into the zero train
+    t = np.random.default_rng(5).standard_normal((3, 4, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1e-170, 1e-160, 1e160):
+            back = tt_to_dense(tt_svd(scale * t)) / scale
+            assert np.abs(back - t).max() <= 1e-12 * np.abs(t).max()
+        zero = tt_svd(np.zeros((3, 4, 5)))
+    assert zero.ranks == (1, 1)
+    assert not tt_to_dense(zero).any()
+
+
+def test_tensor_train_rejects_malformed_chains():
+    ones = np.ones((1, 2, 1))
+    for comps, message in (((ones, np.ones((2, 1))), "component has order 2, expected 3"),
+                           ((), "empty tensor train"),
+                           ((np.ones((2, 2, 1)),), "boundary ranks must be 1"),
+                           ((ones, np.ones((1, 2, 2))), "boundary ranks must be 1"),
+                           ((np.ones((1, 2, 2)), np.ones((3, 2, 1))), "rank mismatch")):
+        with pytest.raises(TensorTrainError, match=message):
+            TensorTrain(comps)
+    for markers in ({"lorth": -1}, {"lorth": 3}, {"rorth": 3}, {"rorth": -2}):
+        with pytest.raises(TensorTrainError, match="orthogonality markers out of range"):
+            TensorTrain((ones, ones), **markers)
+
+
+def test_train_operations_reject_bad_input():
+    rng = np.random.default_rng(21)
+    tt = canonicalize(tt_random((3, 4), (2,), rng), 0)
+    B = [np.ones((5, 3)), np.ones((5, 4))]
+    for m in (-1, 2):
+        with pytest.raises(TensorTrainError, match=f"mode {m} out of range for order 2"):
+            canonicalize(tt, m)
+    for bad in ([np.ones((5, 3)), np.ones((5, 3))], [np.ones((5, 3)), np.ones((4, 4))],
+                [np.ones((5, 3))]):
+        with pytest.raises(TensorTrainError, match="basis values must have shapes"):
+            fixed_interface(tt, 0, bad)
+    with pytest.raises(TensorTrainError, match="weights length does not match sample count"):
+        design_matrix(fixed_interface(tt, 0, B), weights=np.ones(4))
+    with pytest.raises(TensorTrainError, match="no basis values given"):
+        tt_evaluate_batch(tt, [])
+    with pytest.raises(TensorTrainError, match="not a serialized tensor train"):
+        tt_from_json({**tt_to_json(tt), "format": "something-else"})
 
 
 def test_tt_svd_zero_tensor_convention():
     tt = tt_svd(np.zeros((3, 3, 3)))
     assert tt.ranks == (1, 1)
-    assert tt_rank(tt) == (1, 1)
     assert np.all(tt_to_dense(tt) == 0)
 
 
@@ -78,7 +114,7 @@ def test_tt_to_dense_trivial_cases():
 def test_tt_to_dense_cap():
     tt = TensorTrain(tuple(np.ones((1, 10, 1)) for _ in range(9)))
     with pytest.raises(TensorTrainError):
-        tt_to_dense(tt, cap=10**6)
+        tt_to_dense(tt)
 
 
 def test_orthogonalize_preserves_and_grams():
@@ -115,21 +151,6 @@ def test_orthogonalize_rank1_moves_norm_to_last():
     assert np.isclose(np.linalg.norm(first), 1.0)
     total = np.linalg.norm(tt_to_dense(lo))
     assert np.isclose(np.linalg.norm(lo.components[1]), total)
-
-
-def test_tt_rank_redundant_representation():
-    rng = np.random.default_rng(6)
-    t = rand_rank1(rng, (4, 4, 4)) + rand_rank1(rng, (4, 4, 4))
-    tt = tt_svd(t)
-    # inflate the representation rank to 5 with zero padding
-    comps = [np.array(c) for c in tt.components]
-    c0, c1, c2 = comps
-    pad0 = np.zeros((1, 4, 5)); pad0[:, :, :c0.shape[2]] = c0
-    pad1 = np.zeros((5, 4, 5)); pad1[:c1.shape[0], :, :c1.shape[2]] = c1
-    pad2 = np.zeros((5, 4, 1)); pad2[:c2.shape[0]] = c2
-    inflated = TensorTrain((pad0, pad1, pad2))
-    assert inflated.ranks == (5, 5)
-    assert tt_rank(inflated) == (2, 2)
 
 
 def test_fixed_interface_requires_canonical_form():

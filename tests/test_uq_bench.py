@@ -6,7 +6,7 @@ import pytest
 from ttrec import uq_bench
 from ttrec.recovery import (RecoveryConfig, RecoveryError, SampleSet, predict,
                             recover, relative_error)
-from ttrec.tensor_core import tt_evaluate_batch, tt_rank
+from ttrec.tensor_core import tt_evaluate_batch
 from ttrec.bases import legendre_basis
 from ttrec.uq_bench import (BenchmarkError, DiffusionModel, generate_samples,
                             legendre_weight_matrix, phase_diagram, qoi,
@@ -101,6 +101,12 @@ def test_solver_rejects_bad_input():
                 solve_diffusion(a, None, 16)
         with pytest.raises(BenchmarkError):
             solve_diffusion(DiffusionModel("lognormal"), huge_y, 16)
+    with pytest.raises(BenchmarkError, match="parameter vector must have length 20"):
+        solve_diffusion(DiffusionModel("affine"), np.zeros(19), 16)
+    with pytest.raises(BenchmarkError, match="coefficient field does not match the grid"):
+        solve_diffusion(np.ones((16, 16)), None, 16)
+    with pytest.raises(BenchmarkError, match="field does not match the grid"):
+        qoi(np.zeros((16, 16)), 16)
 
 
 def test_solver_source_term_broadcast_and_validation():
@@ -312,7 +318,6 @@ def test_synthetic_targets_are_rank_one():
     for kind in ("ones", "exp_sum"):
         tt = synthetic_target(kind, 4, 6)
         assert tt.ranks == (1, 1, 1)
-        assert tt_rank(tt) == (1, 1, 1)
 
 
 def test_exp_sum_target_matches_exponential():

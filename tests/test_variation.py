@@ -46,6 +46,16 @@ def test_empty_basis_rejected():
         variation_of_span(np.empty((5, 0)), np.linspace(-1, 1, 5))
 
 
+def test_variation_grid_rejects_bad_tables():
+    pts = np.linspace(-1, 1, 5)
+    for values, weights, message in ((np.ones(4), None, "values length does not match points"),
+                                     (-np.ones(5), None, "variation values must be nonnegative"),
+                                     (np.ones(5), np.ones(4) / 4,
+                                      "quadrature weights must match point count")):
+        with pytest.raises(VariationError, match=message):
+            VariationGrid(pts, values, quad_weights=weights)
+
+
 def test_product_rule_matches_product_basis():
     d = 3
     pts1, _ = uniform_grid(41)
@@ -217,6 +227,21 @@ def test_microstep_variation_rejects_unorthogonalized():
     tt = tt_random((3, 3, 3), (2, 2), rng)
     with pytest.raises(Exception):
         microstep_variation(tt, 1, legendre_basis(3), diagonal_cloud(11, 3))
+    with pytest.raises(VariationError, match="points have 2 coordinates, train has order 3"):
+        microstep_variation(canonicalize(tt, 1), 1, legendre_basis(3), diagonal_cloud(11, 2))
+
+
+def test_microstep_variation_of_order_one_train_takes_a_point_vector():
+    # an order-1 train's local space is the univariate span, and a 1-D array
+    # of points is read as one coordinate per point
+    basis = legendre_basis(4)
+    tt = canonicalize(tt_random((4,), (), np.random.default_rng(4)), 0)
+    pts = np.linspace(-1, 1, 21)
+    vg = microstep_variation(tt, 0, basis, pts)
+    assert vg.points.shape == (21, 1)
+    assert np.array_equal(vg.values, microstep_variation(tt, 0, basis, pts[:, None]).values)
+    uni = variation_of_span(basis.evaluate(pts), pts)
+    assert np.abs(vg.values - uni.values).max() <= 1e-12 * uni.values.max()
 
 
 def test_singleton_sum_subadditive():
