@@ -88,7 +88,7 @@ class UnivariateBasis:
         d = self.dimension
         if self.kind == "legendre":
             V = npleg.legvander(points, d - 1)
-            scale = np.sqrt(2 * np.arange(d) + 1)
+            scale = self.sup_norms
         else:
             V = npherm.hermevander(points, d - 1)
             scale = 1.0 / np.sqrt([float(math.factorial(k)) for k in range(d)])
@@ -102,9 +102,9 @@ class UnivariateBasis:
         d = self.dimension
         out = np.zeros(points.shape + (d,))
         if self.kind == "legendre":
-            for k in range(1, d):
+            for k, norm in enumerate(self.sup_norms[1:], start=1):
                 coef = np.zeros(k + 1)
-                coef[k] = np.sqrt(2 * k + 1)
+                coef[k] = norm
                 out[..., k] = npleg.legval(points, npleg.legder(coef))
         else:
             # He_k' = k He_{k-1}  =>  normalized derivative is sqrt(k) b_{k-1}

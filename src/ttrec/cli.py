@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     except (CliError, RecoveryError, BenchmarkError, VariationError, BasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,8 @@ The best-validation iterate is returned since the LASSO microsteps make
 the error sequences non-monotonic; the test error is that iterate's.
 Every penalty, and the full-data fit at it, comes from one k-fold driver,
 ``sparse_solver.cross_validate``; its ridge engine is ``_ridge_refits``.
+The CV microsteps read their folds, fold seed and lambda grid from the
+run's ``RecoveryConfig``, whose defaults for them are ``sparse_solver``'s.
 """
 from __future__ import annotations
 
@@ -32,8 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import UnivariateBasis, diag_sup_gramian, gramian_orthonormalize, h1_gramian
-from .sparse_solver import (SparseSolverError, cross_validate, cv_select_lambda,
-                            debias_on_support, lambda_grid)
+from .sparse_solver import (CV_FOLDS, GRID_DECADES, GRID_POINTS, SparseSolverError,
+                            cross_validate, cv_select_lambda, debias_on_support,
+                            lambda_grid)
 from .sparse_solver import lasso_solve  # noqa: F401 - the benchmark tracer (bench/layers.py) wraps it here
 from .tensor_core import (TensorTrain, canonicalize, design_matrix, fixed_interface,
                           tt_evaluate_batch, tt_random)
@@ -105,9 +108,9 @@ class RecoveryConfig:
     theta: float = 0.05           # stable/unstable singular-value threshold
     buffer: int = 1               # size of the unstable group
     seed: int = 0
-    cv_folds: int = 10
-    lambda_grid_decades: float = 4.0
-    lambda_grid_points: int = 25
+    cv_folds: int = CV_FOLDS
+    lambda_grid_decades: float = GRID_DECADES
+    lambda_grid_points: int = GRID_POINTS
     validation_fraction: float = 0.2   # of the samples outside the test share
     test_fraction: float = 0.0
     gramian: str = "diag_sup"     # diag_sup | h1
@@ -228,10 +231,9 @@ def _ridge_refits(G, b, lams):
     return np.repeat(np.arange(F), L), grid, grid + 1, coeffs.reshape(F * L, -1), fit
 
 
-def microstep_l2(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
-                 decades: float = 4.0, points: int = 25):
-    """Ridge microstep: ``cross_validate`` with ``_ridge_refits``, and the
-    full-data fit at the chosen penalty.
+def microstep_l2(A: np.ndarray, u: np.ndarray, config: RecoveryConfig):
+    """Ridge microstep: ``cross_validate`` with ``_ridge_refits`` on
+    ``config``'s folds, fold seed and lambda grid, and the full-data fit.
 
     Returns ``(v, lam)``; ties at the CV minimum go to the largest penalty,
     and the unpenalized fit is least squares.
@@ -239,8 +241,9 @@ def microstep_l2(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
     A = np.asarray(A, float)
     u = np.asarray(u, float)
     # unpenalized fit appended so noiseless in-class data can win exactly
-    lams = np.append(lambda_grid(A, u, decades, points), 0.0)
-    cv = cross_validate(A, u, lams, folds, seed, _ridge_refits)
+    lams = np.append(lambda_grid(A, u, config.lambda_grid_decades,
+                                 config.lambda_grid_points), 0.0)
+    cv = cross_validate(A, u, lams, config.cv_folds, config.seed, _ridge_refits)
     return cv.fit, cv.chosen
 
 
@@ -281,37 +284,35 @@ def local_gramian(tt: TensorTrain, m: int, g) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def _cv_lasso(A: np.ndarray, u: np.ndarray, folds: int, seed: int,
-              decades: float, points: int):
-    """The LASSO microstep body: one stacked homotopy pass gives the
-    cross-validated lambda and the full-data LASSO fit at it, refitted by
-    least squares on its support.  Returns ``(v, lam)``."""
-    cv = cv_select_lambda(A, u, folds=folds, seed=seed, decades=decades, points=points)
+def _cv_lasso(A: np.ndarray, u: np.ndarray, config: RecoveryConfig):
+    """The LASSO microstep body: one stacked homotopy pass on ``config``'s
+    folds, fold seed and lambda grid gives the cross-validated lambda and the
+    full-data fit at it, refitted by least squares on its support."""
+    cv = cv_select_lambda(A, u, config.cv_folds, config.seed,
+                          config.lambda_grid_decades, config.lambda_grid_points)
     return debias_on_support(A, u, cv.fit), cv.chosen
 
 
-def microstep_rals(A: np.ndarray, u: np.ndarray, H: np.ndarray, folds: int = 10,
-                   seed: int = 0, decades: float = 4.0, points: int = 25):
+def microstep_rals(A: np.ndarray, u: np.ndarray, H: np.ndarray, config: RecoveryConfig):
     """Variation-restricted microstep: weighted LASSO via the local Gramian.
 
     Rotates into the eigenbasis of ``H`` (ascending eigenvalues), weights by
-    sqrt of the (floored) eigenvalues, solves a standard cross-validated
-    LASSO, debiases by least squares on the selected support, and rotates
-    back.  Returns ``(v, lam)``.
+    sqrt of the (floored) eigenvalues, solves a standard LASSO
+    cross-validated as ``config`` sets, debiases by least squares on the
+    selected support, and rotates back.  Returns ``(v, lam)``.
     """
     s, Q = np.linalg.eigh(np.asarray(H, float))
     s = np.maximum(s, EIG_FLOOR)
     W = Q / np.sqrt(s)            # combination "rotate, then unweight"
-    U, lam = _cv_lasso(A @ W, u, folds, seed, decades, points)
+    U, lam = _cv_lasso(A @ W, u, config)
     return W @ U, lam
 
 
-def microstep_r2als(A: np.ndarray, u: np.ndarray, folds: int = 10, seed: int = 0,
-                    decades: float = 4.0, points: int = 25):
-    """Plain cross-validated LASSO on the raw local coordinates (the basis
-    is assumed Gramian-orthonormalized upfront), debiased by least squares
-    on the selected support.  Returns ``(v, lam)``."""
-    return _cv_lasso(A, u, folds, seed, decades, points)
+def microstep_r2als(A: np.ndarray, u: np.ndarray, config: RecoveryConfig):
+    """Plain LASSO, cross-validated as ``config`` sets, on the raw local
+    coordinates (the basis is assumed Gramian-orthonormalized upfront),
+    debiased by least squares on its support.  Returns ``(v, lam)``."""
+    return _cv_lasso(A, u, config)
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +381,18 @@ def _plan(config: RecoveryConfig, basis: UnivariateBasis):
     of mode ``m``.
     It looks ``microstep_*`` and ``local_gramian`` up as module attributes
     at each call, so replacing them (the benchmark's tracer) reaches it."""
-    cv = (config.cv_folds, config.seed, config.lambda_grid_decades,
-          config.lambda_grid_points)
     if config.algorithm == "als":
         return None, lambda A, u, tt, m: microstep_ls(A, u)
     if config.algorithm == "als_l2":
-        return None, lambda A, u, tt, m: microstep_l2(A, u, *cv)
+        return None, lambda A, u, tt, m: microstep_l2(A, u, config)
     # infinite sup-norms (Gaussian measure): diag_sup falls back to the
     # Sobolev-style Gramian
     g = (h1_gramian if config.gramian == "h1" or basis.sup_norms is None
          else diag_sup_gramian)(basis)
     if config.algorithm == "rals":
         return None, lambda A, u, tt, m: microstep_rals(
-            A, u, local_gramian(tt, m, g.matrix), *cv)
-    return gramian_orthonormalize(basis, g), lambda A, u, tt, m: microstep_r2als(A, u, *cv)
+            A, u, local_gramian(tt, m, g.matrix), config)
+    return gramian_orthonormalize(basis, g), lambda A, u, tt, m: microstep_r2als(A, u, config)
 
 
 def _initial_tt(dims, ranks, rng, scale: float) -> TensorTrain:

@@ -30,6 +30,9 @@ import numpy as np
 HAVE_NUMBA = False
 
 KKT_TOL = 1e-8
+# the cross-validation defaults, also RecoveryConfig's: folds, and the
+# decades and points of the lambda grid
+CV_FOLDS, GRID_DECADES, GRID_POINTS = 10, 4.0, 25
 
 
 class SparseSolverError(ValueError):
@@ -315,7 +318,7 @@ def fold_indices(n: int, folds: int, seed: int):
     return tuple(np.array_split(perm, folds))
 
 
-def lambda_grid(A, y, decades: float = 4.0, points: int = 25) -> np.ndarray:
+def lambda_grid(A, y, decades: float = GRID_DECADES, points: int = GRID_POINTS) -> np.ndarray:
     """Logarithmic grid from the full-shrinkage threshold downward."""
     lam_max = 2.0 * float(np.abs(A.T @ y).max(initial=0.0))
     if lam_max == 0.0:
@@ -403,8 +406,8 @@ def cross_validate(A, y, lams, folds: int, seed: int, engine) -> CvReport:
     return CvReport(lams, mean_errors, float(lams[k]), fit_k)
 
 
-def cv_select_lambda(A, y, folds: int = 10, seed: int = 0,
-                     decades: float = 4.0, points: int = 25) -> CvReport:
+def cv_select_lambda(A, y, folds: int = CV_FOLDS, seed: int = 0,
+                     decades: float = GRID_DECADES, points: int = GRID_POINTS) -> CvReport:
     """Pick the regularization strength by k-fold cross-validation and fit
     the LASSO at it on all rows: ``cross_validate`` with ``_solve_path``.
 

@@ -106,15 +106,15 @@ def tt_random(dims, ranks, rng) -> TensorTrain:
 
 
 def tt_svd(t: np.ndarray) -> TensorTrain:
-    """Decompose a dense tensor exactly by successive thin SVDs.
+    """Decompose a finite dense tensor exactly by successive thin SVDs.
 
     Singular values at most ``EXACT_RANK_RTOL`` relative to the largest are
     dropped; the result is left-orthogonal up to the last component.  An
     all-zero tensor yields the rank-one zero train.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim < 1 or t.size == 0:
-        raise TensorTrainError("tt_svd needs a nonempty tensor with dims >= 1")
+    if t.ndim < 1 or t.size == 0 or not np.isfinite(t).all():
+        raise TensorTrainError("tt_svd needs a nonempty finite tensor with dims >= 1")
     dims = t.shape
     M = t.ndim
     if not t.any():

@@ -425,6 +425,19 @@ def test_variation_subcommand(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_internal_error_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # an exception that is not a data or usage error is an internal error
+    def broken(**kwargs):
+        raise RuntimeError("spectrum broke")
+
+    monkeypatch.setattr(cli, "spectrum_experiment", broken)
+    out = tmp_path / "spectrum.csv"
+    rc = main(["spectrum", "--d", "3", "--realizations", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "internal error: spectrum broke\n"
+    assert not out.exists()
+
+
 def test_spectrum_subcommand(tmp_path):
     out = tmp_path / "spectra.csv"
     rc = main(["--timestamp", "2026-01-01T00:00:00Z", "spectrum",

@@ -12,7 +12,7 @@ from ttrec.recovery import (EIG_FLOOR, PINV_RTOL, RecoveryConfig, RecoveryError,
                             rank_adapt, recover, relative_error)
 from ttrec.sparse_solver import (LassoProblem, _fold_grams, cross_validate,
                                  cv_select_lambda, debias_on_support, fold_indices,
-                                 lasso_solve)
+                                 lambda_grid, lasso_solve)
 from ttrec.tensor_core import (TensorTrain, TensorTrainError, canonicalize,
                                design_matrix, fixed_interface, tt_evaluate_batch,
                                tt_random)
@@ -112,7 +112,7 @@ def test_microstep_l2_limits():
     A = rng.standard_normal((40, 5))
     truth = rng.standard_normal(5)
     u = A @ truth                       # noiseless: CV picks the unpenalized fit
-    v, lam = microstep_l2(A, u, folds=5, seed=0)
+    v, lam = microstep_l2(A, u, RecoveryConfig(cv_folds=5, seed=0))
     assert lam == 0.0
     assert np.abs(v - truth).max() <= 1e-8
     ls, _ = microstep_ls(A, u)
@@ -122,11 +122,11 @@ def test_microstep_l2_limits():
 def test_microstep_l2_shrinks_orthogonal_target_to_zero():
     rng = np.random.default_rng(25)
     Q, _ = np.linalg.qr(rng.standard_normal((20, 6)))
-    v, lam = microstep_l2(Q[:, :3], np.zeros(20), folds=5, seed=0)
+    v, lam = microstep_l2(Q[:, :3], np.zeros(20), RecoveryConfig(cv_folds=5, seed=0))
     assert np.all(v == 0.0) and lam == 0.0
     u = rng.standard_normal(20)
     u -= Q[:, :3] @ (Q[:, :3].T @ u)   # orthogonal to the design columns
-    v, _ = microstep_l2(Q[:, :3], u, folds=5, seed=0)
+    v, _ = microstep_l2(Q[:, :3], u, RecoveryConfig(cv_folds=5, seed=0))
     assert np.abs(v).max() <= 1e-12 * np.abs(u).max()
 
 
@@ -135,7 +135,7 @@ def test_microstep_l2_matches_exhaustive_cv_oracle():
     A = rng.standard_normal((30, 4))
     u = A @ rng.standard_normal(4) + 0.3 * rng.standard_normal(30)
     folds, seed = 5, 7
-    v, lam = microstep_l2(A, u, folds=folds, seed=seed)
+    v, lam = microstep_l2(A, u, RecoveryConfig(cv_folds=folds, seed=seed))
     lam_max = 2.0 * np.abs(A.T @ u).max()
     lams = np.append(np.geomspace(lam_max, lam_max * 1e-4, 25), 0.0)
     idx = fold_indices(len(u), folds, seed)
@@ -152,6 +152,36 @@ def test_microstep_l2_matches_exhaustive_cv_oracle():
             errs.append(r @ r / len(hold))
         means.append(np.mean(errs))
     assert np.isclose(lam, lams[int(np.argmin(means))])
+
+
+def test_cv_microsteps_follow_the_config():
+    # every CV setting of a microstep is the config's: each returns what the
+    # CV driver gives with the config's folds, seed and grid passed directly
+    cfg = RecoveryConfig(cv_folds=4, seed=2, lambda_grid_decades=2.0, lambda_grid_points=5)
+    rng = np.random.default_rng(38)
+    A = rng.standard_normal((30, 6))
+    u = A @ rng.standard_normal(6) + 0.2 * rng.standard_normal(30)
+    grid = lambda_grid(A, u, 2.0, 5)
+    assert len(grid) == 5
+
+    v, lam = microstep_l2(A, u, cfg)
+    ridge = cross_validate(A, u, np.append(grid, 0.0), 4, 2, _ridge_refits)
+    assert lam == ridge.chosen and np.array_equal(v, ridge.fit)
+    assert lam == 0.0 or lam in grid
+
+    v, lam = microstep_r2als(A, u, cfg)
+    lasso = cv_select_lambda(A, u, folds=4, seed=2, decades=2.0, points=5)
+    assert lam == lasso.chosen and lam in grid
+    assert np.array_equal(v, debias_on_support(A, u, lasso.fit))
+
+    H = np.diag(np.arange(1.0, 7.0))
+    v, lam = microstep_rals(A, u, H, cfg)
+    s, Q = np.linalg.eigh(H)
+    W = Q / np.sqrt(np.maximum(s, EIG_FLOOR))
+    AW = A @ W
+    lasso = cv_select_lambda(AW, u, folds=4, seed=2, decades=2.0, points=5)
+    assert lam == lasso.chosen and lam in lambda_grid(AW, u, 2.0, 5)
+    assert np.array_equal(v, W @ debias_on_support(AW, u, lasso.fit))
 
 
 def _ridge_problem(rng, kind):
@@ -181,7 +211,7 @@ def test_ridge_cv_matches_reference_fold_loop(kind):
         lams, ref_errors, ref_lam = reference_ridge_cv(A, u, 10, seed)
         report = cross_validate(A, u, lams, 10, seed, _ridge_refits)
         assert report.chosen == ref_lam
-        v, lam = microstep_l2(A, u, 10, seed)
+        v, lam = microstep_l2(A, u, RecoveryConfig(cv_folds=10, seed=seed))
         assert lam == ref_lam
         # the fit read from the stacked eigh is bit for bit the separate
         # full-data eigendecomposition's (least squares at lam = 0)
@@ -276,8 +306,8 @@ def test_microstep_rals_identity_equals_r2als():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((40, 6))
     u = rng.standard_normal(40)
-    v1, lam1 = microstep_rals(A, u, np.eye(6), folds=5, seed=0)
-    v2, lam2 = microstep_r2als(A, u, folds=5, seed=0)
+    v1, lam1 = microstep_rals(A, u, np.eye(6), RecoveryConfig(cv_folds=5, seed=0))
+    v2, lam2 = microstep_r2als(A, u, RecoveryConfig(cv_folds=5, seed=0))
     assert np.isclose(lam1, lam2)
     assert np.abs(v1 - v2).max() <= 1e-8
     # a general SPD Gramian: rals is r2als on the rotated, unweighted
@@ -286,8 +316,8 @@ def test_microstep_rals_identity_equals_r2als():
     H = R @ R.T + 0.1 * np.eye(6)
     s, Q = np.linalg.eigh(H)
     W = Q / np.sqrt(np.maximum(s, EIG_FLOOR))
-    v3, lam3 = microstep_rals(A, u, H, folds=5, seed=0)
-    v4, lam4 = microstep_r2als(A @ W, u, folds=5, seed=0)
+    v3, lam3 = microstep_rals(A, u, H, RecoveryConfig(cv_folds=5, seed=0))
+    v4, lam4 = microstep_r2als(A @ W, u, RecoveryConfig(cv_folds=5, seed=0))
     assert np.array_equal(v3, W @ v4) and lam3 == lam4
 
 
@@ -305,10 +335,10 @@ def test_lasso_microsteps_run_one_homotopy_pass(monkeypatch):
     rng = np.random.default_rng(28)
     A = rng.standard_normal((40, 6))
     u = A @ rng.standard_normal(6) + 0.1 * rng.standard_normal(40)
-    microstep_r2als(A, u, folds=5, seed=0)
+    microstep_r2als(A, u, RecoveryConfig(cv_folds=5, seed=0))
     assert stacks == [6]
     stacks.clear()
-    microstep_rals(A, u, np.diag(np.arange(1.0, 7.0)), folds=5, seed=0)
+    microstep_rals(A, u, np.diag(np.arange(1.0, 7.0)), RecoveryConfig(cv_folds=5, seed=0))
     assert stacks == [6]
 
 
@@ -317,7 +347,7 @@ def test_microstep_rals_diagonal_equals_weighted_lasso():
     A = rng.standard_normal((25, 2))
     u = rng.standard_normal(25)
     H = np.diag([1.0, 4.0])
-    v, lam = microstep_rals(A, u, H, folds=5, seed=3)
+    v, lam = microstep_rals(A, u, H, RecoveryConfig(cv_folds=5, seed=3))
     omega = np.array([1.0, 2.0])
     raw = lasso_solve(LassoProblem(A, u, omega, lam))
     ref = debias_on_support(A, u, raw)
@@ -335,7 +365,7 @@ def test_microstep_rals_rotation_invariance():
     g = diag_sup_gramian(basis).matrix
     A = design_matrix(fixed_interface(tt, m, B))
     H = local_gramian(tt, m, g)
-    v, _ = microstep_rals(A, u, H, folds=5, seed=0)
+    v, _ = microstep_rals(A, u, H, RecoveryConfig(cv_folds=5, seed=0))
     vals = A @ v
     # orthogonal gauge on both interfaces
     QL = np.linalg.qr(rng.standard_normal((3, 3)))[0]
@@ -347,7 +377,7 @@ def test_microstep_rals_rotation_invariance():
     tt2 = TensorTrain(tuple(comps), lorth=m, rorth=m + 1)
     A2 = design_matrix(fixed_interface(tt2, m, B))
     H2 = local_gramian(tt2, m, g)
-    v2, _ = microstep_rals(A2, u, H2, folds=5, seed=0)
+    v2, _ = microstep_rals(A2, u, H2, RecoveryConfig(cv_folds=5, seed=0))
     assert np.abs(A2 @ v2 - vals).max() <= 1e-8 * max(1.0, np.abs(vals).max())
 
 
@@ -380,7 +410,7 @@ def test_microstep_r2als_recovers_sparse_component():
     truth = np.zeros(10)
     truth[[2, 7]] = [1.5, -0.8]
     u = A @ truth
-    v, lam = microstep_r2als(A, u, folds=5, seed=0)
+    v, lam = microstep_r2als(A, u, RecoveryConfig(cv_folds=5, seed=0))
     assert np.abs(v - truth).max() <= 1e-8
 
 

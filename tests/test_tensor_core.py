@@ -49,6 +49,12 @@ def test_tt_svd_sum_of_two_rank1():
 def test_tt_svd_rejects_bad_input():
     with pytest.raises(TensorTrainError):
         tt_svd(np.empty(0))
+    # a non-finite entry is refused before the first SVD
+    for bad in (np.nan, np.inf):
+        t = np.ones((3, 4, 5))
+        t[1, 2, 3] = bad
+        with pytest.raises(TensorTrainError, match="nonempty finite tensor"):
+            tt_svd(t)
 
 
 def test_tt_svd_roundtrips_tiny_and_huge_tensors():

@@ -211,6 +211,24 @@ def test_band_solve_shares_scipy_linalgs_routine():
     assert uq_bench._lapack_dpbsv() is lapack.dpbsv
 
 
+def test_band_solve_loader_names_the_extension_without_scipy(monkeypatch):
+    # the uncached loader, so the process-wide routine stays loaded
+    import importlib.util
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    with pytest.raises(ModuleNotFoundError, match=r"'scipy\.linalg\._flapack'") as info:
+        uq_bench._lapack_dpbsv.__wrapped__()
+    assert info.value.name == "scipy.linalg._flapack"
+
+
+def test_cpu_count_without_an_affinity_mask(monkeypatch):
+    # a platform without sched_getaffinity counts the machine's CPUs
+    monkeypatch.delattr(uq_bench.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(uq_bench.os, "cpu_count", lambda: 3)
+    assert uq_bench._cpu_count() == 3
+    monkeypatch.setattr(uq_bench.os, "cpu_count", lambda: None)
+    assert uq_bench._cpu_count() == 1
+
+
 def test_splinalg_resolves_on_demand():
     # the benchmark tracer wraps uq_bench.splinalg.spsolve
     assert callable(uq_bench.splinalg.spsolve)
