@@ -22,7 +22,7 @@ import typing
 import numpy as np
 
 from . import __version__, tensor_core
-from .bases import BASES, BasisError
+from .bases import BasisError, UnivariateBasis
 from .recovery import ALGORITHMS, RecoveryConfig, RecoveryError, SampleSet, recover
 from .tensor_core import atomic_open
 from .uq_bench import (DIFFUSION_MODELS, N_PARAMS, TARGETS, WEIGHT_RULES, BenchmarkError,
@@ -163,6 +163,7 @@ EXTRA_KEYS = {"basis": "legendre", "dimension": 8}
 
 
 def read_recovery_config(path):
+    """``(RecoveryConfig, UnivariateBasis)`` from the INI file's [recovery]."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = parser.read(path)
@@ -185,59 +186,44 @@ def read_recovery_config(path):
             into[key] = conv(raw)
         except ValueError:
             raise CliError(f"{path}: bad value for {key}: {raw!r}")
-    if extras["basis"] not in BASES:
-        raise CliError(f"{path}: unknown basis {extras['basis']!r}")
-    if extras["dimension"] < 1:
-        raise CliError(f"{path}: dimension must be >= 1")
     try:
-        cfg = RecoveryConfig(**cfg_kwargs)
-    except Exception as exc:
+        basis = UnivariateBasis(extras["basis"], extras["dimension"])
+        return RecoveryConfig(**cfg_kwargs), basis
+    except (RecoveryError, BasisError) as exc:
         raise CliError(f"{path}: {exc}")
-    return cfg, extras
 
 
 def read_sample_csv(path) -> SampleSet:
     """Sample file: header y_1..y_M,u[,w]; one sample per row."""
     try:
-        fh = open(path, newline="")
+        with open(path, newline="") as fh:
+            lines = [(lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
+                     if line and not line.startswith("#")]
     except OSError as exc:
         raise CliError(f"cannot read samples: {exc}")
-    with fh:
-        header = None
-        pts, vals, wts = [], [], []
-        width = None
-        ycols = 0
-        has_w = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            row = next(csv.reader([line]))
-            if header is None:
-                header = [h.strip() for h in row]
-                has_w = header[-1] == "w"
-                names = header[:-2] if has_w else header[:-1]
-                expected = [f"y_{i + 1}" for i in range(len(names))]
-                if names != expected or header[len(names)] != "u":
-                    raise CliError(f"{path}: header must be y_1..y_M,u[,w], got {header}")
-                width = len(header)
-                ycols = len(names)
-                continue
-            if len(row) != width:
-                raise CliError(f"{path}: row {lineno}: expected {width} fields, got {len(row)}")
-            try:
-                floats = [float(v) for v in row]
-            except ValueError:
-                raise CliError(f"{path}: row {lineno}: non-numeric value")
-            pts.append(floats[:ycols])
-            vals.append(floats[ycols])
-            wts.append(floats[-1] if has_w else 1.0)
-    if header is None:
+    if not lines:
         raise CliError(f"{path}: empty file")
-    if not pts:
+    # every line is one CSV record: a quote does not join lines
+    header = [h.strip() for h in next(csv.reader([lines[0][1]]))]
+    width = len(header)
+    ycols = width - 2 if header[-1] == "w" else width - 1
+    if header[:ycols] != [f"y_{i + 1}" for i in range(ycols)] or header[ycols] != "u":
+        raise CliError(f"{path}: header must be y_1..y_M,u[,w], got {header}")
+    rows = []
+    for lineno, line in lines[1:]:
+        row = next(csv.reader([line]))
+        if len(row) != width:
+            raise CliError(f"{path}: row {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise CliError(f"{path}: row {lineno}: non-numeric value")
+    if not rows:
         raise CliError(f"{path}: no sample rows")
+    table = np.array(rows)
     try:
-        return SampleSet(np.array(pts), np.array(vals), np.array(wts))
+        return SampleSet(table[:, :ycols], table[:, ycols],
+                         table[:, -1] if ycols + 2 == width else None)
     except RecoveryError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -257,9 +243,8 @@ def _parse_list(text, conv):
 
 
 def cmd_recover(args) -> int:
-    cfg, extras = read_recovery_config(args.config)
+    cfg, basis = read_recovery_config(args.config)
     samples = read_sample_csv(args.samples)
-    basis = BASES[extras["basis"]](extras["dimension"])
     report = recover(samples, cfg, basis)
     if report.best_sweep < 0:
         # no sweep completed, or none has a finite validation error (they are

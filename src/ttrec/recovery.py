@@ -143,6 +143,9 @@ class RecoveryConfig:
             raise RecoveryError("lambda_grid_points must be >= 1")
         if not self.lambda_grid_decades > 0.0:
             raise RecoveryError("lambda_grid_decades must be > 0")
+        # min: ``10.0 ** -n`` raises OverflowError for an int n past the float range
+        if 10.0 ** -min(self.lambda_grid_decades, 400.0) == 0.0:
+            raise RecoveryError("lambda_grid_decades is too large: 10**-decades underflows to 0")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise RecoveryError("validation_fraction must lie in [0, 1)")
         if self.seed < 0:

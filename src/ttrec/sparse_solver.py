@@ -323,7 +323,10 @@ def lambda_grid(A, y, decades: float = GRID_DECADES, points: int = GRID_POINTS) 
     lam_max = 2.0 * float(np.abs(A.T @ y).max(initial=0.0))
     if lam_max == 0.0:
         return np.zeros(1)
-    return np.geomspace(lam_max, lam_max * 10.0 ** (-decades), points)
+    lam_min = lam_max * 10.0 ** (-decades)
+    if lam_min == 0.0:
+        raise SparseSolverError(f"lambda grid bottom {lam_max!r} * 10**-{decades} underflows to 0")
+    return np.geomspace(lam_max, lam_min, points)
 
 
 def debias_on_support(A, y, v):

@@ -266,7 +266,10 @@ def test_recover_hermite_dimension_errors_exit_2(tmp_path, capsys, dimension, me
             rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
                        "--out", str(out)])
         assert rc == 2 and not out.exists()
-        assert capsys.readouterr().err == f"error: {message}\n"
+        # a basis that cannot be built is an error of the config file; the
+        # Gramian overflows only in the fit
+        where = f"{cfg}: " if dimension > 171 else ""
+        assert capsys.readouterr().err == f"error: {where}{message}\n"
 
 
 def test_recover_all_nan_validation_writes_no_model(tmp_path, capsys):
@@ -307,6 +310,7 @@ def test_recover_fewer_samples_than_cv_folds_exit_2(tmp_path, capsys):
     ("max_sweeps", 0), ("cv_folds", 0), ("cv_folds", 1), ("lambda_grid_points", 0),
     ("lambda_grid_decades", 0), ("lambda_grid_decades", -1),
     ("validation_fraction", 1.2), ("test_fraction", -0.1), ("test_fraction", 1.5),
+    ("lambda_grid_decades", 400), ("lambda_grid_decades", "inf"),
     ("dimension", 0), ("patience", 0), ("stop_tol", -0.001),
     ("initial_rank", 3), ("gramian", "bogus"), ("max_rank", "x"), ("dimension", "x"),
     ("basis", "chebyshev")])
@@ -410,6 +414,38 @@ def test_sample_reader_weights_column(tmp_path):
     assert np.allclose(ss.values, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("text, points, values, weights", [
+    ("y_1,y_2,u\r\n0.5,-0.25,1.5\r\n0.125,1,2\r\n",
+     [[0.5, -0.25], [0.125, 1.0]], [1.5, 2.0], None),
+    ("# made by hand\ny_1,u\n0.5,1\n\n# between rows\n-0.5,2\n   \n0.25,3\n",
+     [[0.5], [-0.5], [0.25]], [1.0, 2.0, 3.0], None),
+    (" y_1 , y_2 ,u\n 0.5 , -0.25 ,1.5 \n0.125,\t1,2\n",
+     [[0.5, -0.25], [0.125, 1.0]], [1.5, 2.0], None),
+    ('y_1,"y_2",u\n"0.5",-0.25,"1.5"\n0.125,"1e0",2\n',
+     [[0.5, -0.25], [0.125, 1.0]], [1.5, 2.0], None),
+    ("y_1,u,w\r\n0.5,1,0.25\r\n# skipped\r\n-0.5,2,3\r\n",
+     [[0.5], [-0.5]], [1.0, 2.0], [0.25, 3.0]),
+])
+def test_sample_reader_file_forms(tmp_path, text, points, values, weights):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(text.encode())
+    ss = read_sample_csv(path)
+    assert ss.points.tolist() == points and ss.values.tolist() == values
+    assert ss.weights.tolist() == (weights or [1.0] * len(values))
+
+
+@pytest.mark.parametrize("line, message", [
+    ('0.1,"0.2,1.0', "row 3: expected 3 fields, got 2"),   # the quote runs to the line's end
+    ('0.1,0.2",1.0', "row 3: non-numeric value"),           # a quote inside a field is kept
+])
+def test_sample_reader_stray_quote(tmp_path, line, message):
+    path = tmp_path / "samples.csv"
+    path.write_text(f"y_1,y_2,u\n0.5,0.5,1\n{line}\n0.5,0.5,1\n")
+    with pytest.raises(cli.CliError) as exc:
+        read_sample_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_variation_subcommand(tmp_path):
     out = tmp_path / "var.csv"
     svg = tmp_path / "var.svg"
@@ -436,6 +472,21 @@ def test_internal_error_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch
     assert rc == 1
     assert capsys.readouterr().err == "internal error: spectrum broke\n"
     assert not out.exists()
+
+
+def test_unexpected_config_error_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # only the library's typed errors are configuration errors
+    def broken(**kwargs):
+        raise RuntimeError("config broke")
+
+    monkeypatch.setattr(cli, "RecoveryConfig", broken)
+    out, report = tmp_path / "m.tt", tmp_path / "report.json"
+    rc = main(["recover", "--config", str(write_config(tmp_path)),
+               "--samples", str(write_constant_fixture(tmp_path, n=30)),
+               "--out", str(out), "--report", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err == "internal error: config broke\n"
+    assert not out.exists() and not report.exists()
 
 
 def test_spectrum_subcommand(tmp_path):

@@ -860,7 +860,9 @@ def test_recover_rejects_empty_and_bad_config():
         RecoveryConfig(theta=1.5)
     for bad in ({"max_sweeps": 0}, {"cv_folds": 0}, {"cv_folds": 1},
                 {"lambda_grid_points": 0}, {"lambda_grid_decades": 0.0},
-                {"lambda_grid_decades": -1.0}, {"validation_fraction": 1.2},
+                {"lambda_grid_decades": -1.0}, {"lambda_grid_decades": 400.0},
+                {"lambda_grid_decades": float("inf")}, {"lambda_grid_decades": 10**400},
+                {"validation_fraction": 1.2},
                 {"validation_fraction": 1.0}, {"validation_fraction": -0.1},
                 {"test_fraction": -0.1}, {"test_fraction": 1.0},
                 {"test_fraction": float("nan")},
@@ -889,6 +891,19 @@ def test_config_rejects_patience_stop_tol_and_initial_rank_above_max():
         with pytest.raises(RecoveryError, match=next(iter(bad))):
             RecoveryConfig(**bad)
     RecoveryConfig(patience=1, stop_tol=0.0, initial_rank=2, max_rank=2)
+
+
+def test_lambda_grid_bottom_that_underflows_aborts_the_sweep():
+    # 10**-322 is a subnormal float, but the grid's bottom lam_max * 10**-322
+    # underflows to 0 for values near 1e-6
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1, 1, (120, 3))
+    samples = SampleSet(pts, 1e-6 * np.exp(pts.sum(axis=1) / 4.0))
+    for algorithm in ("als_l2", "rals", "r2als"):
+        cfg = RecoveryConfig(algorithm=algorithm, lambda_grid_decades=322, max_sweeps=1)
+        report = recover(samples, cfg, legendre_basis(3))
+        assert report.best_sweep == -1
+        assert report.aborted.startswith("sweep 0: lambda grid bottom")
 
 
 def test_non_finite_samples_rejected():

@@ -174,6 +174,13 @@ def test_lambda_grid_shape():
     assert np.all(np.diff(lams) < 0)
 
 
+def test_lambda_grid_bottom_that_underflows_raises():
+    A = np.eye(3)
+    assert lambda_grid(A, np.ones(3), 320)[-1] > 0.0    # 2e-320 is subnormal
+    with pytest.raises(SparseSolverError, match="underflows to 0"):
+        lambda_grid(A, 1e-6 * np.ones(3), 320)
+
+
 def test_cv_exact_recovery_of_one_sparse_target():
     rng = np.random.default_rng(10)
     A = rng.standard_normal((60, 8))
