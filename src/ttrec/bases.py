@@ -2,11 +2,10 @@
 
 A basis is a reference orthonormal family and a dimension: normalized
 Legendre on [-1, 1] with the uniform probability measure, or normalized
-probabilists' Hermite under the standard normal.  A Gramian-orthonormal
-change of basis is the matrix ``T`` from ``gramian_orthonormalize``; the new
-functions' values are ``basis.evaluate(x) @ T``.  Gram matrices are
-integrated on 4 d Gauss nodes of the basis measure: ``UnivariateBasis.gram``
-is the L2 one, and ``h1_gramian`` adds the derivatives' Gram matrix to it.
+probabilists' Hermite under the standard normal.  ``basis.derivative`` is
+its exact differentiation matrix ``D``, and ``h1_gramian`` is ``I + D^T D``.
+A Gramian-orthonormal change of basis is the matrix ``T`` from
+``gramian_orthonormalize``; the new functions are ``basis.evaluate(x) @ T``.
 """
 from __future__ import annotations
 
@@ -97,21 +96,16 @@ class UnivariateBasis:
         # the last digits of every output fixed
         return np.multiply(V, scale, order="C")
 
-    def evaluate_deriv(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        d = self.dimension
-        out = np.zeros(points.shape + (d,))
+    @property
+    def derivative(self) -> np.ndarray:
+        """The (d, d) differentiation matrix ``D``: ``b' = b @ D``."""
+        k = np.arange(self.dimension)
         if self.kind == "legendre":
-            for k, norm in enumerate(self.sup_norms[1:], start=1):
-                coef = np.zeros(k + 1)
-                coef[k] = norm
-                out[..., k] = npleg.legval(points, npleg.legder(coef))
-        else:
-            # He_k' = k He_{k-1}  =>  normalized derivative is sqrt(k) b_{k-1}
-            vals = self.evaluate(points)
-            for k in range(1, d):
-                out[..., k] = np.sqrt(k) * vals[..., k - 1]
-        return out
+            # P_k' is the sum of (2j + 1) P_j over j < k with k - j odd
+            s = self.sup_norms
+            return np.triu(np.outer(s, s) * ((k - k[:, None]) % 2), 1)
+        # He_k' = k He_{k-1}, so b_k' = sqrt(k) b_{k-1}
+        return np.diag(np.sqrt(k[1:]), 1)
 
     def quadrature(self, nodes: int) -> tuple:
         """Gauss nodes/weights for the basis measure (weights sum to 1)."""
@@ -120,12 +114,6 @@ class UnivariateBasis:
             return x, w / 2.0
         x, w = npherm.hermegauss(nodes)
         return x, w / np.sqrt(2.0 * np.pi)
-
-    def gram(self) -> np.ndarray:
-        """L2 Gram matrix on 4 d Gauss nodes (identity for o.n. bases)."""
-        x, w = self.quadrature(4 * self.dimension)
-        B = self.evaluate(x)
-        return B.T @ (w[:, None] * B)
 
 
 def legendre_basis(d: int) -> UnivariateBasis:
@@ -157,15 +145,13 @@ def diag_sup_gramian(basis: UnivariateBasis) -> Gramian:
 
 
 def h1_gramian(basis: UnivariateBasis) -> Gramian:
-    """Sobolev-style Gramian ``g_ij = int (b_i b_j + b_i' b_j') drho``: the
-    L2 Gram matrix plus the derivatives' Gram matrix, both on 4 d Gauss nodes."""
-    # a rule too large for floats (Hermite, d = 100) overflows; Gramian
-    # rejects the non-finite result
-    with np.errstate(all="ignore"):
-        x, w = basis.quadrature(4 * basis.dimension)
-        dB = basis.evaluate_deriv(x)
-        g = basis.gram() + dB.T @ (w[:, None] * dB)
-    return Gramian(g, "h1")
+    """Sobolev-style Gramian ``g_ik = int (b_i b_k + b_i' b_k') drho``, which
+    is ``I + D^T D`` for the differentiation matrix ``D`` of an orthonormal
+    family: ``diag(1, 2, ..., d)`` for Hermite, and for Legendre
+    ``delta_ik + sqrt((2i+1)(2k+1)) m (m+1) / 2`` with ``m = min(i, k)`` when
+    ``i - k`` is even, else ``delta_ik``."""
+    D = basis.derivative
+    return Gramian(np.eye(basis.dimension) + D.T @ D, "h1")
 
 
 def gramian_orthonormalize(basis: UnivariateBasis, g: Gramian) -> np.ndarray:

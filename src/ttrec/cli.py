@@ -166,9 +166,11 @@ def read_recovery_config(path):
     """``(RecoveryConfig, UnivariateBasis)`` from the INI file's [recovery]."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:  # message carries the line number
         raise CliError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}")
     if not read:
         raise CliError(f"cannot read config file {path}")
     if not parser.has_section("recovery"):
@@ -196,22 +198,23 @@ def read_recovery_config(path):
 def read_sample_csv(path) -> SampleSet:
     """Sample file: header y_1..y_M,u[,w]; one sample per row."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             lines = [(lineno, line) for lineno, line in enumerate(map(str.strip, fh), start=1)
                      if line and not line.startswith("#")]
     except OSError as exc:
         raise CliError(f"cannot read samples: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}")
     if not lines:
         raise CliError(f"{path}: empty file")
-    # every line is one CSV record: a quote does not join lines
-    header = [h.strip() for h in next(csv.reader([lines[0][1]]))]
+    header = [h.strip() for h in _csv_record(path, *lines[0])]
     width = len(header)
     ycols = width - 2 if header[-1] == "w" else width - 1
     if header[:ycols] != [f"y_{i + 1}" for i in range(ycols)] or header[ycols] != "u":
         raise CliError(f"{path}: header must be y_1..y_M,u[,w], got {header}")
     rows = []
     for lineno, line in lines[1:]:
-        row = next(csv.reader([line]))
+        row = _csv_record(path, lineno, line)
         if len(row) != width:
             raise CliError(f"{path}: row {lineno}: expected {width} fields, got {len(row)}")
         try:
@@ -226,6 +229,14 @@ def read_sample_csv(path) -> SampleSet:
                          table[:, -1] if ycols + 2 == width else None)
     except RecoveryError as exc:
         raise CliError(f"{path}: {exc}")
+
+
+# every line is one CSV record: a quote does not join lines
+def _csv_record(path, lineno, line) -> list:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:  # such as a field past csv's size limit
+        raise CliError(f"{path}: row {lineno}: {exc}")
 
 
 def _parse_list(text, conv):
@@ -285,7 +296,7 @@ def cmd_variation(args) -> int:
         raise CliError("seed must be >= 0")
     ds = _parse_list(args.d, int)
     rs = _parse_list(args.r, float)
-    rows = [(d, r, local_variation_rank1(d, d, r, args.grid).value)
+    rows = [(d, r, local_variation_rank1(d, d, r, args.grid))
             for d in ds for r in rs]
     header = manifest_lines("variation", args, [], [args.out])
     write_csv(args.out, header, ["d", "r", "K_estimate"], rows)

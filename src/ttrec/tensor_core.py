@@ -301,16 +301,20 @@ def tt_to_json(tt: TensorTrain) -> dict:
     }
 
 
-def tt_from_json(doc: dict) -> TensorTrain:
-    if doc.get("format") != TT_FORMAT:
-        raise TensorTrainError("not a serialized tensor train")
-    dims = doc["dims"]
-    ranks = doc["ranks"]
-    comps = []
-    for m, flat in enumerate(doc["components"]):
-        shape = (ranks[m], dims[m], ranks[m + 1])
-        comps.append(np.asarray(flat, dtype=float).reshape(shape))
-    return TensorTrain(tuple(comps))
+def tt_from_json(doc) -> TensorTrain:
+    if not (isinstance(doc, dict) and doc.get("format") == TT_FORMAT
+            and doc.get("version") == TT_FORMAT_VERSION):
+        raise TensorTrainError(f"not a serialized tensor train of version {TT_FORMAT_VERSION}")
+    try:
+        dims, ranks = doc["dims"], doc["ranks"]
+        comps = [np.asarray(flat, dtype=float).reshape(ranks[m], dims[m], ranks[m + 1])
+                 for m, flat in enumerate(doc["components"])]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise TensorTrainError(f"malformed tensor train: {exc!r}") from exc
+    tt = TensorTrain(tuple(comps))
+    if tt.dims != tuple(dims) or (1, *tt.ranks, 1) != tuple(ranks):
+        raise TensorTrainError("tensor-train dims or ranks do not match its components")
+    return tt
 
 
 @contextlib.contextmanager
@@ -326,7 +330,7 @@ def atomic_open(path):
     tmp = os.path.join(directory, f".ttrec-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -342,5 +346,5 @@ def save_tt(tt: TensorTrain, path) -> None:
 
 
 def load_tt(path) -> TensorTrain:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return tt_from_json(json.load(fh))

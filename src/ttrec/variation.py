@@ -102,15 +102,6 @@ def variation_product(a: VariationGrid, b: VariationGrid) -> VariationGrid:
 # local variation constant of rank-1 matrices
 
 
-@dataclass(frozen=True)
-class LocalVariationEstimate:
-    """Grid estimate of the local variation constant around the all-ones
-    rank-1 matrix, normalized so that the ambient value is d1*d2."""
-
-    value: float
-    table: np.ndarray  # (m, m) cell values, NaN where infeasible
-
-
 def _gamma_interval(c, a):
     """Solution interval of |1 - c*gamma| <= a (entrywise)."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -122,9 +113,10 @@ def _gamma_interval(c, a):
     return lo, hi
 
 
-def local_variation_rank1(d1: int, d2: int, r: float, m: int) -> LocalVariationEstimate:
+def local_variation_rank1(d1: int, d2: int, r: float, m: int) -> float:
     """Sup-norm-ball estimate of the local variation constant of rank-1
-    matrices around the all-ones matrix.
+    matrices around the all-ones matrix, normalized so that the ambient
+    value is d1*d2.
 
     The extremal perturbations have the structure
     ``M = (alpha, beta, ..., beta)^T (1, gamma, ..., gamma)`` whose largest
@@ -168,8 +160,7 @@ def local_variation_rank1(d1: int, d2: int, r: float, m: int) -> LocalVariationE
     K = np.where(feasible & (F > 0), K, np.nan)
     if np.all(np.isnan(K)):
         raise VariationError("no feasible cell on the grid")
-    value = float(np.nanmax(K))
-    return LocalVariationEstimate(value, K)
+    return float(np.nanmax(K))
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ solve is the sparse assembly and direct solve that the banded Cholesky
 solver replaced.  The gather scorers are cross-validation's held-out
 scoring as it was written inside each engine before ``cross_validate``
 took it over: the LASSO path's padded per-step gather and the ridge's
-per-fold loop.
+per-fold loop.  The reference H1 Gramian is the Gauss quadrature that the
+closed form ``I + D^T D`` replaced, with numpy's polynomial differentiation.
 """
 import math
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
+from numpy.polynomial import hermite_e, legendre
 
 from ttrec.uq_bench import BenchmarkError, DiffusionModel
 
@@ -71,6 +73,22 @@ def dense_embedding(tt, m, W):
     """Embed a candidate mode-m component into the full coefficient tensor."""
     from ttrec.tensor_core import tt_to_dense
     return tt_to_dense(tt.with_component(m, W))
+
+
+def reference_h1_gramian(basis):
+    """``int (b_i b_k + b_i' b_k') drho`` on 4 d Gauss nodes of the basis
+    measure, each derivative by differentiating the polynomial's
+    coefficients."""
+    d = basis.dimension
+    if basis.kind == "legendre":
+        val, der, norms = legendre.legval, legendre.legder, basis.sup_norms
+    else:
+        val, der = hermite_e.hermeval, hermite_e.hermeder
+        norms = [1.0 / math.sqrt(math.factorial(k)) for k in range(d)]
+    x, w = basis.quadrature(4 * d)
+    B = basis.evaluate(x)
+    dB = np.stack([val(x, der(norms[k] * np.eye(d)[k])) for k in range(d)], axis=-1)
+    return B.T @ (w[:, None] * B) + dB.T @ (w[:, None] * dB)
 
 
 def poisson_unit_square_qoi(terms=100):

@@ -82,11 +82,11 @@ def test_criterion_3_local_variation_regimes():
     t0 = time.time()
     details = []
     for d in (2, 4, 8, 16):
-        small = local_variation_rank1(d, d, 1e-3, 41).value
-        big = local_variation_rank1(d, d, 1e3, 41).value
+        small = local_variation_rank1(d, d, 1e-3, 41)
+        big = local_variation_rank1(d, d, 1e3, 41)
         assert 1.0 <= small <= 2 * d * 1.05
         assert big >= 0.9 * d * d
-        sweep = [local_variation_rank1(d, d, r, 41).value
+        sweep = [local_variation_rank1(d, d, r, 41)
                  for r in np.geomspace(1e-3, 1e3, 20)]
         assert all(b >= a - 1e-9 * d * d for a, b in zip(sweep, sweep[1:]))
         details.append(f"d={d}: K(1e-3)={small:.2f}<=({2.1 * d:.1f}), K(1e3)={big:.1f}>={0.9 * d * d:.1f}")

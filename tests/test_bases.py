@@ -8,6 +8,15 @@ from ttrec.bases import (BasisError, Gramian, UnivariateBasis, diag_sup_gramian,
                          gramian_orthonormalize, h1_gramian, hermite_basis,
                          legendre_basis)
 
+from oracles import reference_h1_gramian
+
+
+def quadrature_gram(b):
+    """The L2 Gram matrix on 4 d Gauss nodes of the basis measure."""
+    x, w = b.quadrature(4 * b.dimension)
+    B = b.evaluate(x)
+    return B.T @ (w[:, None] * B)
+
 
 def test_legendre_constant():
     b = legendre_basis(1)
@@ -18,7 +27,7 @@ def test_legendre_constant():
 
 def test_legendre_orthonormal_under_quadrature():
     b = legendre_basis(8)
-    assert np.abs(b.gram() - np.eye(8)).max() <= 1e-10
+    assert np.abs(quadrature_gram(b) - np.eye(8)).max() <= 1e-10
 
 
 def test_legendre_sup_norm_identity():
@@ -53,7 +62,7 @@ def test_hermite_low_order_functions():
 
 def test_hermite_orthonormal_under_quadrature():
     b = hermite_basis(8)
-    assert np.abs(b.gram() - np.eye(8)).max() <= 1e-10
+    assert np.abs(quadrature_gram(b) - np.eye(8)).max() <= 1e-10
 
 
 def test_diag_sup_gramian():
@@ -113,7 +122,7 @@ def test_hermite_basis_past_int64_factorials():
     # 21! does not fit in int64; the norms take k! as a float, which
     # overflows from 171! on
     b = hermite_basis(22)
-    assert np.abs(b.gram() - np.eye(22)).max() <= 1e-12
+    assert np.abs(quadrature_gram(b) - np.eye(22)).max() <= 1e-12
     with pytest.raises(BasisError, match="hermite dimension must be <= 171"):
         hermite_basis(172)
 
@@ -145,7 +154,7 @@ def test_gramian_orthonormalize_general():
     # the new functions are g-orthonormal as functions too
     x, w = b.quadrature(40)
     Bv = b.evaluate(x) @ T
-    dBv = b.evaluate_deriv(x) @ T
+    dBv = b.evaluate(x) @ b.derivative @ T
     gram = Bv.T @ (w[:, None] * Bv) + dBv.T @ (w[:, None] * dBv)
     assert np.abs(gram - np.eye(5)).max() <= 1e-10
     # still an L2-Riesz sequence: L2 Gram diagonal with eigenvalue reciprocals
@@ -161,10 +170,10 @@ def test_derivative_evaluation():
     x = np.linspace(-0.9, 0.9, 7)
     h = 1e-6
     numeric = (b.evaluate(x + h) - b.evaluate(x - h)) / (2 * h)
-    assert np.abs(numeric - b.evaluate_deriv(x)).max() <= 1e-6
+    assert np.abs(numeric - b.evaluate(x) @ b.derivative).max() <= 1e-6
     bh = hermite_basis(5)
     numeric = (bh.evaluate(x + h) - bh.evaluate(x - h)) / (2 * h)
-    assert np.abs(numeric - bh.evaluate_deriv(x)).max() <= 1e-6
+    assert np.abs(numeric - bh.evaluate(x) @ bh.derivative).max() <= 1e-6
 
 
 @pytest.mark.parametrize("make", [legendre_basis, hermite_basis])
@@ -173,7 +182,7 @@ def test_evaluations_are_c_contiguous(make):
     # values sum in an order that follows the layout
     b = make(4)
     for pts in (np.linspace(-1, 1, 7), np.linspace(-1, 1, 12).reshape(3, 4)):
-        for vals in (b.evaluate(pts), b.evaluate_deriv(pts)):
+        for vals in (b.evaluate(pts), b.evaluate(pts) @ b.derivative):
             assert vals.shape == pts.shape + (4,)
             assert vals.flags.c_contiguous
 
@@ -195,13 +204,30 @@ def test_basis_is_a_kind_and_a_dimension():
     assert UnivariateBasis("legendre", 172).sup_norms[-1] == np.sqrt(343.0)
 
 
-def test_h1_gramian_of_an_overflowing_rule_warns_nothing():
-    # the 400-node Gauss-Hermite rule overflows; the non-finite Gramian is
-    # rejected without numpy's floating-point warnings
+def test_h1_gramian_is_the_closed_form():
+    # I + D^T D is exact up to rounding (relative in the Frobenius norm) at
+    # every dimension, also past Hermite d = 92, where a Gauss rule of 4 d
+    # nodes overflows; the quadrature agrees where it is finite
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    k = np.arange(200)
+    m = np.minimum.outer(k, k)
+    legendre = np.eye(200) + np.where((k[:, None] - k) % 2 == 0,
+                                      np.sqrt(np.outer(2 * k + 1, 2 * k + 1)) * m * (m + 1) / 2,
+                                      0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(BasisError, match=r"gramian has non-finite entries \(h1\)"):
-            h1_gramian(hermite_basis(100))
+        for d in range(1, 201):
+            g = h1_gramian(legendre_basis(d)).matrix
+            assert rel(g, legendre[:d, :d]) <= 1e-15
+            if d <= 40:
+                assert rel(g, reference_h1_gramian(legendre_basis(d))) <= 1e-10
+        for d in range(1, 172):
+            g = h1_gramian(hermite_basis(d)).matrix
+            assert rel(g, np.diag(1.0 + np.arange(d))) <= 1e-15
+            if d <= 40:
+                assert rel(g, reference_h1_gramian(hermite_basis(d))) <= 1e-10
 
 
 def test_unknown_basis_kind_rejected():

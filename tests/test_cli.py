@@ -250,8 +250,23 @@ def test_recover_hermite_basis_past_int64_factorials(tmp_path, capsys):
     assert load_tt(out).dims == (22, 22)
 
 
+def test_recover_hermite_h1_past_a_gauss_rule_that_overflows(tmp_path, capsys):
+    # the h1 Gramian is a closed form, so it is finite where a Gauss rule
+    # of 4 d nodes overflows (Hermite dimension 93 and above)
+    samples = write_constant_fixture(tmp_path, n=60, M=2)
+    out = tmp_path / "model.tt"
+    for algorithm in ("rals", "r2als"):
+        cfg = write_config(tmp_path, algorithm=algorithm, basis="hermite",
+                           dimension=100, max_rank=1, max_sweeps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+                       "--out", str(out)])
+        assert rc == 0 and out.exists()
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("dimension, message", [
-    (100, "gramian has non-finite entries (h1)"),   # its 400-node Gauss rule overflows
     (172, "hermite dimension must be <= 171"),      # 171! overflows a float
 ])
 def test_recover_hermite_dimension_errors_exit_2(tmp_path, capsys, dimension, message):
@@ -266,10 +281,8 @@ def test_recover_hermite_dimension_errors_exit_2(tmp_path, capsys, dimension, me
             rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
                        "--out", str(out)])
         assert rc == 2 and not out.exists()
-        # a basis that cannot be built is an error of the config file; the
-        # Gramian overflows only in the fit
-        where = f"{cfg}: " if dimension > 171 else ""
-        assert capsys.readouterr().err == f"error: {where}{message}\n"
+        # a basis that cannot be built is an error of the config file
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
 def test_recover_all_nan_validation_writes_no_model(tmp_path, capsys):
@@ -382,6 +395,28 @@ def test_bad_config_key_exit_2(tmp_path, capsys):
                    "--out", str(tmp_path / "m.tt")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "m.tt").exists()
+
+
+def test_undecodable_and_oversized_input_exit_2(tmp_path, capsys):
+    # the inputs are read as UTF-8 whatever the locale, and csv's limit on
+    # a field's size is a data error of the row that breaks it
+    samples = write_constant_fixture(tmp_path, n=30)
+    cfg = write_config(tmp_path)
+    lines = samples.read_text().splitlines()
+    lines[3] = "0.1,0.2,0.3," + "1" * 200_000
+    for path, data, message in (
+            (samples, b"\xff\xfe" + samples.read_bytes(), "not UTF-8 text: "),
+            (cfg, cfg.read_bytes() + b"# caf\xff\n", "not UTF-8 text: "),
+            (samples, ("\n".join(lines) + "\n").encode(),
+             "row 4: field larger than field limit (131072)")):
+        original = path.read_bytes()
+        path.write_bytes(data)
+        rc = main(["recover", "--config", str(cfg), "--samples", str(samples),
+                   "--out", str(tmp_path / "m.tt")])
+        path.write_bytes(original)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
     assert not (tmp_path / "m.tt").exists()
 
 

@@ -238,6 +238,21 @@ def test_serialization_roundtrip(tmp_path):
     assert np.array_equal(tt_to_dense(back), tt_to_dense(tt))
 
 
+def test_tt_from_json_rejects_other_documents():
+    doc = tt_to_json(tt_random((3, 4), (2,), np.random.default_rng(19)))
+    short = [doc["components"][0], doc["components"][1][:-1]]
+    for bad in ({**doc, "version": 2},
+                {key: value for key, value in doc.items() if key != "dims"},
+                {**doc, "components": short},
+                {**doc, "ranks": [1, 2]},
+                [doc],
+                # reshape fills in a -1, and extra dims go unread
+                {**doc, "ranks": [1, -1, 1]},
+                {**doc, "dims": [3, 4, 5]}):
+        with pytest.raises(TensorTrainError):
+            tt_from_json(bad)
+
+
 def test_save_tt_interrupted_keeps_previous_file(tmp_path, monkeypatch):
     rng = np.random.default_rng(18)
     path = tmp_path / "model.tt"
