@@ -51,6 +51,14 @@ def manifest_lines(subcommand, args, inputs, outputs) -> list:
         "timestamp": _timestamp(args),
         "version": f"ttrec-{__version__}",
     }
+    # a name that is not UTF-8 reaches argv surrogate-escaped, and the
+    # manifest, UTF-8 text, cannot record it
+    for path in (fields["config"], *inputs, *outputs):
+        try:
+            path.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CliError(f"path {path!r} is not valid UTF-8; the manifest "
+                           "records every path as UTF-8 text") from None
     return ["# manifest: " + " ".join(f"{k}={v}" for k, v in fields.items())]
 
 

@@ -38,8 +38,8 @@ from .sparse_solver import (CV_FOLDS, GRID_DECADES, GRID_POINTS, SparseSolverErr
                             cross_validate, cv_select_lambda, debias_on_support,
                             lambda_grid)
 from .sparse_solver import lasso_solve  # noqa: F401 - the benchmark tracer (bench/layers.py) wraps it here
-from .tensor_core import (TensorTrain, canonicalize, design_matrix, fixed_interface,
-                          tt_evaluate_batch, tt_random)
+from .tensor_core import (TensorTrain, _bond_svd, canonicalize, design_matrix,
+                          fixed_interface, tt_evaluate_batch, tt_random)
 
 RIDGE_RTOL = 1e-12      # relative ridge of every overdetermined LS microstep's
                         # normal equations
@@ -326,12 +326,13 @@ def rank_adapt(tt: TensorTrain, m: int, theta: float, buffer: int,
                max_rank: int, rng) -> TensorTrain:
     """Adapt the bond rank right of mode ``m`` by the stable/unstable split.
 
-    The core is left-orthogonalized by SVD; singular values at least
+    The core is split by ``tensor_core._bond_svd``, which drops singular
+    values at most ``EXACT_RANK_RTOL`` times the largest; values at least
     ``theta`` times the largest are stable.  The unstable group is resized
     to exactly ``buffer`` members, dropping the smallest values or injecting
-    random directions of magnitude 1e-3 times the smallest stable value,
-    drawn from ``rng``.  The new rank is capped by ``max_rank`` and the
-    dimension bound; the core moves to mode ``m + 1``.
+    random directions orthonormal to the kept ones, of magnitude 1e-3 times
+    the smallest stable value, drawn from ``rng``.  The new rank is capped
+    by ``max_rank`` and the dimension bound; the core moves to mode ``m + 1``.
     """
     if m >= tt.order - 1:
         raise RecoveryError("no bond to adapt right of the last mode")
@@ -339,13 +340,10 @@ def rank_adapt(tt: TensorTrain, m: int, theta: float, buffer: int,
         raise RecoveryError(f"train is not canonical at mode {m}")
     comps = list(tt.components)
     rl, d, rm = comps[m].shape
-    U, s, Vt = np.linalg.svd(comps[m].reshape(rl * d, rm), full_matrices=False)
+    U, s, Vt = _bond_svd(comps[m].reshape(rl * d, rm))
     k = s.size
-    if s[0] > 0:
-        stable = int(np.count_nonzero(s >= theta * s[0]))
-        inject = UNSTABLE_MAGNITUDE * float(s[:stable].min())
-    else:
-        stable, inject = 1, 0.0
+    stable = int(np.count_nonzero(s >= theta * s[0]))
+    inject = UNSTABLE_MAGNITUDE * float(s[:stable].min())
     nxt = comps[m + 1]
     dim_cap = min(rl * d, nxt.shape[1] * nxt.shape[2])
     target = max(1, min(stable + buffer, max_rank, dim_cap))
@@ -355,16 +353,11 @@ def rank_adapt(tt: TensorTrain, m: int, theta: float, buffer: int,
         carry = carry[:target]
     else:
         extra = target - k
-        cols = np.empty((rl * d, extra))
-        for j in range(extra):
-            v = rng.standard_normal(rl * d)
-            for _ in range(2):  # twice for numerical orthogonality
-                v -= U @ (U.T @ v)
-                if j:
-                    v -= cols[:, :j] @ (cols[:, :j].T @ v)
-                v /= np.linalg.norm(v)
-            cols[:, j] = v
-        U = np.hstack([U, cols])
+        # the draws made orthonormal to U and to each other: Gram-Schmidt's
+        # directions, as one QR whose signs come from R's diagonal
+        draws = rng.standard_normal((extra, rl * d)).T
+        Q, R = np.linalg.qr(np.hstack([U, draws]))
+        U = np.hstack([U, Q[:, k:] * np.sign(np.diag(R)[k:])])
         rows = rng.standard_normal((extra, carry.shape[1]))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         carry = np.vstack([carry, inject * rows])

@@ -7,6 +7,10 @@ which fixes the index bijection used by :func:`design_matrix` and
 :func:`save_tt`.  :func:`tt_svd` decomposes a dense tensor exactly, and
 :func:`tt_to_dense` contracts a train of at most ``DENSIFY_CAP`` entries.
 
+Every bond split, in :func:`tt_svd`, :func:`right_orthogonalize` and
+``recovery.rank_adapt``, is the rank-revealing thin SVD :func:`_bond_svd`,
+so no bond keeps a direction that rounding chose.
+
 The per-sample contractions live in :class:`InterfaceStacks`, which a sweep
 advances one mode per microstep; :func:`design_matrix` reads its rows and
 :func:`tt_evaluate_batch` runs its left push through every mode.
@@ -105,6 +109,14 @@ def tt_random(dims, ranks, rng) -> TensorTrain:
     return TensorTrain(tuple(comps))
 
 
+def _bond_svd(mat: np.ndarray):
+    """Thin SVD ``(U, s, Vt)`` of ``mat`` that keeps the singular values
+    above ``EXACT_RANK_RTOL`` times the largest, and always at least one."""
+    U, s, Vt = np.linalg.svd(mat, full_matrices=False)
+    r = max(int(np.count_nonzero(s > EXACT_RANK_RTOL * s[0])), 1)
+    return U[:, :r], s[:r], Vt[:r]
+
+
 def tt_svd(t: np.ndarray) -> TensorTrain:
     """Decompose a finite dense tensor exactly by successive thin SVDs.
 
@@ -117,19 +129,14 @@ def tt_svd(t: np.ndarray) -> TensorTrain:
         raise TensorTrainError("tt_svd needs a nonempty finite tensor with dims >= 1")
     dims = t.shape
     M = t.ndim
-    if not t.any():
-        comps = [np.zeros((1, n, 1)) for n in dims]
-        return TensorTrain(tuple(comps), lorth=M - 1)
     comps = []
     carry = t.reshape(1, -1)
     r_prev = 1
     for k in range(M - 1):
-        mat = carry.reshape(r_prev * dims[k], -1)
-        U, s, Vt = np.linalg.svd(mat, full_matrices=False)
-        r = max(int(np.count_nonzero(s > EXACT_RANK_RTOL * s[0])), 1)
-        comps.append(U[:, :r].reshape(r_prev, dims[k], r))
-        carry = s[:r, None] * Vt[:r]
-        r_prev = r
+        U, s, Vt = _bond_svd(carry.reshape(r_prev * dims[k], -1))
+        comps.append(U.reshape(r_prev, dims[k], s.size))
+        carry = s[:, None] * Vt
+        r_prev = s.size
     comps.append(carry.reshape(r_prev, dims[-1], 1))
     return TensorTrain(tuple(comps), lorth=M - 1)
 
@@ -164,14 +171,16 @@ def left_orthogonalize(tt: TensorTrain) -> TensorTrain:
 
 
 def right_orthogonalize(tt: TensorTrain) -> TensorTrain:
-    """Push the non-orthogonal factor to the first component via thin QR."""
+    """Push the non-orthogonal factor to the first component by
+    :func:`_bond_svd` (``Vt`` stays, ``U * s`` moves left): no null direction
+    of a bond is kept."""
     comps = list(tt.components)
     M = len(comps)
     for k in range(M - 1, 0, -1):
         rl, n, rr = comps[k].shape
-        Q, R = np.linalg.qr(comps[k].reshape(rl, n * rr).T)
-        comps[k] = Q.T.reshape(Q.shape[1], n, rr)
-        comps[k - 1] = np.tensordot(comps[k - 1], R.T, axes=(2, 0))
+        U, s, Vt = _bond_svd(comps[k].reshape(rl, n * rr))
+        comps[k] = Vt.reshape(s.size, n, rr)
+        comps[k - 1] = np.tensordot(comps[k - 1], U * s, axes=(2, 0))
     return TensorTrain(tuple(comps), lorth=0, rorth=1)
 
 
@@ -347,4 +356,8 @@ def save_tt(tt: TensorTrain, path) -> None:
 
 def load_tt(path) -> TensorTrain:
     with open(path, encoding="utf-8") as fh:
-        return tt_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise TensorTrainError(f"{path}: not a JSON document: {exc}") from exc
+    return tt_from_json(doc)

@@ -14,6 +14,8 @@ scoring as it was written inside each engine before ``cross_validate``
 took it over: the LASSO path's padded per-step gather and the ridge's
 per-fold loop.  The reference H1 Gramian is the Gauss quadrature that the
 closed form ``I + D^T D`` replaced, with numpy's polynomial differentiation.
+The reference injection is the Gram-Schmidt loop that ``rank_adapt``'s one
+QR replaced.
 """
 import math
 
@@ -89,6 +91,21 @@ def reference_h1_gramian(basis):
     B = basis.evaluate(x)
     dB = np.stack([val(x, der(norms[k] * np.eye(d)[k])) for k in range(d)], axis=-1)
     return B.T @ (w[:, None] * B) + dB.T @ (w[:, None] * dB)
+
+
+def reference_injected_directions(U, draws):
+    """The columns of ``draws`` made orthonormal to those of ``U`` and to
+    each other, one by one, by classical Gram-Schmidt applied twice."""
+    cols = np.empty_like(draws)
+    for j in range(draws.shape[1]):
+        v = draws[:, j].copy()
+        for _ in range(2):  # twice for numerical orthogonality
+            v -= U @ (U.T @ v)
+            if j:
+                v -= cols[:, :j] @ (cols[:, :j].T @ v)
+            v /= np.linalg.norm(v)
+        cols[:, j] = v
+    return cols
 
 
 def poisson_unit_square_qoi(terms=100):

@@ -441,6 +441,17 @@ def test_unwritable_output_exit_2(tmp_path, capsys, command, target):
     assert [p.name for p in work.rglob("*")] == ["taken"]
 
 
+def test_non_utf8_output_path_exit_2(tmp_path, capsys):
+    # the command line passes the byte 0xff surrogate-escaped; the manifest
+    # is UTF-8 text that cannot record it, so nothing is written
+    out = str(tmp_path / os.fsdecode(b"sp\xff.csv"))
+    rc = main(["spectrum", "--d", "5", "--realizations", "2", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: path {out!r} is not valid UTF-8") and "internal" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_reader_weights_column(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("y_1,y_2,u,w\n0.1,0.2,1.0,2.0\n-0.3,0.4,2.0,0.5\n")

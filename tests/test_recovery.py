@@ -9,7 +9,7 @@ from ttrec.recovery import (EIG_FLOOR, PINV_RTOL, RecoveryConfig, RecoveryError,
                             SampleSet, _ridge_refits, _split_samples,
                             local_gramian, microstep_l2, microstep_ls,
                             microstep_r2als, microstep_rals, predict,
-                            rank_adapt, recover, relative_error)
+                            UNSTABLE_MAGNITUDE, rank_adapt, recover, relative_error)
 from ttrec.sparse_solver import (LassoProblem, _fold_grams, cross_validate,
                                  cv_select_lambda, debias_on_support, fold_indices,
                                  lambda_grid, lasso_solve)
@@ -18,7 +18,7 @@ from ttrec.tensor_core import (TensorTrain, TensorTrainError, canonicalize,
                                tt_random)
 from ttrec.variation import microstep_variation
 
-from oracles import reference_ridge_cv
+from oracles import reference_injected_directions, reference_ridge_cv
 
 
 def exp_type_rank1(basis, order, scale=1.0 / 3.0):
@@ -444,6 +444,28 @@ def test_rank_adapt_buffer_zero_truncates():
                      lorth=0, rorth=1)
     adapted = rank_adapt(tt, 0, theta=0.1, buffer=0, max_rank=8, rng=rng)
     assert adapted.ranks == (2,)   # 1e-3 < 0.1 * 1.0 dropped
+
+
+def test_rank_adapt_drops_a_null_direction_and_injects_fresh_ones():
+    # the second singular value is 1e-20 of the first, a direction that
+    # rounding chose: the split drops it, and the buffer of two is refilled
+    # by seeded draws, made orthonormal as Gram-Schmidt makes them
+    rng = np.random.default_rng(32)
+    Q = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+    tt = TensorTrain(((Q * [1.0, 1e-20]).reshape(1, 6, 2), rng.standard_normal((2, 6, 1))),
+                     lorth=0, rorth=1)
+    adapted = rank_adapt(tt, 0, theta=0.1, buffer=2, max_rank=4,
+                         rng=np.random.default_rng(33))
+    assert adapted.ranks == (3,)
+    core = adapted.components[0].reshape(6, 3)
+    assert np.abs(core.T @ core - np.eye(3)).max() <= 1e-12
+    assert np.abs(np.abs(core[:, 0] @ Q[:, 0]) - 1.0) <= 1e-12
+    draws = np.random.default_rng(33).standard_normal((2, 6)).T
+    fresh = reference_injected_directions(core[:, :1], draws)
+    assert np.abs(core[:, 1:] - fresh).max() <= 1e-12
+    # their rows of the next component have the injected magnitude
+    assert np.allclose(np.linalg.norm(adapted.components[1][1:], axis=(1, 2)),
+                       UNSTABLE_MAGNITUDE)
 
 
 def test_advanced_stacks_match_one_shot_rows():

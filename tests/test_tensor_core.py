@@ -139,6 +139,22 @@ def test_orthogonalize_preserves_and_grams():
         assert np.abs(mat @ mat.T - np.eye(mat.shape[0])).max() <= 1e-12
 
 
+def test_right_orthogonalize_drops_a_null_bond_direction():
+    # the last bond's unfolding has rank 2 of 3: the split keeps the
+    # numerical rank, and the represented tensor does not change
+    rng = np.random.default_rng(20)
+    last = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 4))
+    tt = TensorTrain((rng.standard_normal((1, 4, 3)), rng.standard_normal((3, 4, 3)),
+                      last.reshape(3, 4, 1)))
+    ro = right_orthogonalize(tt)
+    assert ro.ranks == (3, 2)
+    dense = tt_to_dense(tt)
+    assert np.linalg.norm(tt_to_dense(ro) - dense) <= 1e-14 * np.linalg.norm(dense)
+    for c in ro.components[1:]:
+        mat = c.reshape(c.shape[0], -1)
+        assert np.abs(mat @ mat.T - np.eye(mat.shape[0])).max() <= 1e-12
+
+
 def test_orthogonalize_already_orthogonal_stable():
     rng = np.random.default_rng(5)
     tt = left_orthogonalize(tt_random((3, 3, 3), (3, 3), rng))
@@ -236,6 +252,14 @@ def test_serialization_roundtrip(tmp_path):
     assert back.dims == tt.dims
     assert back.ranks == tt.ranks
     assert np.array_equal(tt_to_dense(back), tt_to_dense(tt))
+
+
+def test_load_tt_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "model.tt"
+    for data in (b"not json\n", b"\xff\xfe{}"):
+        path.write_bytes(data)
+        with pytest.raises(TensorTrainError, match="not a JSON document"):
+            load_tt(path)
 
 
 def test_tt_from_json_rejects_other_documents():
